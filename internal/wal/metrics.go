@@ -17,6 +17,7 @@ type Metrics struct {
 	appendedBytes     *obs.Counter
 	fsyncs            *obs.Counter
 	checkpoints       *obs.Counter
+	readBytes         *obs.Counter
 	segments          *obs.Gauge
 }
 
@@ -35,6 +36,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		appendedBytes:     reg.Counter("wal.appended_bytes"),
 		fsyncs:            reg.Counter("wal.fsyncs"),
 		checkpoints:       reg.Counter("wal.checkpoints"),
+		readBytes:         reg.Counter("wal.read_bytes"),
 		segments:          reg.Gauge("wal.segments"),
 	}
 	reg.Help("wal.append.latency", "write-ahead log record append wall time")
@@ -44,17 +46,26 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	reg.Help("wal.appended_bytes", "bytes appended to the write-ahead log, framing included")
 	reg.Help("wal.fsyncs", "fsync calls issued by the write-ahead log")
 	reg.Help("wal.checkpoints", "checkpoints written")
+	reg.Help("wal.read_bytes", "segment bytes read back by ReadRecords (replication tailing)")
 	reg.Help("wal.segments", "live write-ahead log segment files")
 	return m
 }
 
-func (m *Metrics) observeAppend(t0 time.Time, frameBytes int64) {
+// observeAppend accounts one write of records framed records.
+func (m *Metrics) observeAppend(t0 time.Time, records int, frameBytes int64) {
 	if m == nil {
 		return
 	}
 	m.appendLatency.Since(t0)
-	m.appends.Inc()
+	m.appends.Add(uint64(records))
 	m.appendedBytes.Add(uint64(frameBytes))
+}
+
+func (m *Metrics) observeRead(n int) {
+	if m == nil {
+		return
+	}
+	m.readBytes.Add(uint64(n))
 }
 
 func (m *Metrics) observeFsync(t0 time.Time) {

@@ -57,6 +57,25 @@ func appendFrame(buf, payload []byte, more bool) []byte {
 // length.
 func frameSize(payloadLen int) int64 { return int64(frameHeaderSize + payloadLen) }
 
+// splitFrame parses the record frame at the head of b, returning its payload
+// and the bytes after it; ok is false if the frame is incomplete or fails its
+// checksum. The batch bit is ignored: callers that know where frames begin
+// (the offset index) do not need batch boundaries.
+func splitFrame(b []byte) (payload, rest []byte, ok bool) {
+	if len(b) < frameHeaderSize {
+		return nil, nil, false
+	}
+	n := binary.LittleEndian.Uint32(b[0:4]) &^ batchBit
+	if n > MaxRecord || uint32(len(b)-frameHeaderSize) < n {
+		return nil, nil, false
+	}
+	payload = b[frameHeaderSize : frameHeaderSize+int(n)]
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(b[4:8]) {
+		return nil, nil, false
+	}
+	return payload, b[frameHeaderSize+int(n):], true
+}
+
 // scanRecords walks the framed records in b, invoking fn with each valid
 // payload in order; more is the record's batch bit (its batch continues with
 // the next record). Records are delivered a whole batch at a time: a batch

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -141,7 +142,32 @@ type Recovery struct {
 type segInfo struct {
 	name  string
 	first uint64 // LSN of the segment's first record
-	size  int64  // valid bytes (header included)
+	// ends is the segment's LSN → byte-offset index: ends[i] is the offset
+	// just past the frame of record first+i, so that record's frame occupies
+	// [start(i), ends[i]). It is complete for every live segment — Open's
+	// scan rebuilds it, every append extends it, truncation drops it with the
+	// segment — and it is what lets ReadRecords read only the bytes it
+	// returns. A frame a failed write left half on disk never gets an entry.
+	ends []int64
+}
+
+// start returns the byte offset of record first+i's frame.
+func (sg *segInfo) start(i int) int64 {
+	if i == 0 {
+		return segHeaderSize
+	}
+	return sg.ends[i-1]
+}
+
+// size returns the segment's valid bytes, header included.
+func (sg *segInfo) size() int64 { return sg.start(len(sg.ends)) }
+
+// readSpan is one contiguous run of whole record frames in one segment file,
+// planned under the log mutex and read outside it.
+type readSpan struct {
+	name     string
+	off, end int64
+	records  int
 }
 
 // Log is an append-only write-ahead log rooted in one directory. It is safe
@@ -271,11 +297,15 @@ func Open(dir string, opt Options) (*Log, *Recovery, error) {
 			continue
 		}
 		lsn := first
+		var ends []int64
+		off := int64(segHeaderSize)
 		consumed, n, reason, _ := scanRecords(data[segHeaderSize:], func(p []byte, _ bool) error {
 			if lsn > rec.CheckpointLSN {
 				rec.Records = append(rec.Records, append([]byte(nil), p...))
 			}
 			lsn++
+			off += frameSize(len(p))
+			ends = append(ends, off)
 			return nil
 		})
 		size := segHeaderSize + consumed
@@ -285,7 +315,7 @@ func Open(dir string, opt Options) (*Log, *Recovery, error) {
 				return nil, nil, fmt.Errorf("wal: repair %s: %w", name, err)
 			}
 		}
-		segs = append(segs, segInfo{name: name, first: first, size: size})
+		segs = append(segs, segInfo{name: name, first: first, ends: ends})
 		expect = first + n
 		if expect > rec.NextLSN {
 			rec.NextLSN = expect
@@ -389,7 +419,7 @@ func (l *Log) newSegmentLocked() error {
 		return l.fail(err)
 	}
 	l.f = f
-	l.segs = append(l.segs, segInfo{name: name, first: l.nextLSN, size: segHeaderSize})
+	l.segs = append(l.segs, segInfo{name: name, first: l.nextLSN})
 	l.opt.Metrics.setSegments(len(l.segs))
 	return nil
 }
@@ -411,60 +441,18 @@ func (l *Log) syncDir() error {
 }
 
 // Append writes one record and returns its LSN. Whether the record is on
-// stable storage when Append returns depends on the sync policy.
+// stable storage when Append returns depends on the sync policy. It is the
+// one-record case of AppendBatch.
 func (l *Log) Append(payload []byte) (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return 0, fmt.Errorf("wal: log closed")
-	}
-	if l.err != nil {
-		return 0, fmt.Errorf("wal: %w", l.err)
-	}
-	if l.sealed {
-		return 0, ErrSealed
-	}
-	if len(payload) > MaxRecord {
-		return 0, fmt.Errorf("wal: record of %d bytes exceeds limit %d", len(payload), MaxRecord)
-	}
-	active := &l.segs[len(l.segs)-1]
-	if active.size+frameSize(len(payload)) > l.opt.SegmentSize && active.size > segHeaderSize {
-		if err := l.rotateLocked(); err != nil {
-			return 0, err
-		}
-		active = &l.segs[len(l.segs)-1]
-	}
-	t0 := time.Now()
-	l.scratch = appendFrame(l.scratch[:0], payload, false)
-	n, err := l.opt.Injector.write(l.f, l.scratch)
-	active.size += int64(n)
-	if err != nil {
-		return 0, l.fail(err)
-	}
-	l.opt.Metrics.observeAppend(t0, frameSize(len(payload)))
-	lsn := l.nextLSN
-	l.nextLSN++
-	l.dirty = true
-	switch l.opt.Sync {
-	case SyncAlways:
-		if err := l.syncLocked(); err != nil {
-			return 0, err
-		}
-	case SyncInterval:
-		if time.Since(l.lastSync) >= l.opt.SyncEvery {
-			if err := l.syncLocked(); err != nil {
-				return 0, err
-			}
-		}
-	}
-	return lsn, nil
+	one := [1][]byte{payload}
+	return l.AppendBatch(one[:])
 }
 
 // AppendBatch writes several records as one group commit: every record is
-// framed and buffered, then the active segment is fsynced at most once (per
-// the sync policy), amortizing the SyncAlways penalty across the batch. It
-// returns the LSN of the last record. On failure the log is poisoned exactly
-// as Append would be — none of the batch is acknowledged.
+// framed into one buffer and written with a single write, then the active
+// segment is fsynced at most once (per the sync policy), amortizing the
+// SyncAlways penalty across the batch. It returns the LSN of the last record.
+// On failure the log is poisoned — none of the batch is acknowledged.
 //
 // On disk the batch is atomic: all but its final record carry the batch bit,
 // so recovery after a crash that lands inside the batch drops the whole
@@ -494,26 +482,28 @@ func (l *Log) AppendBatch(payloads [][]byte) (uint64, error) {
 		total += frameSize(len(payload))
 	}
 	active := &l.segs[len(l.segs)-1]
-	if active.size+total > l.opt.SegmentSize && active.size > segHeaderSize {
+	if active.size()+total > l.opt.SegmentSize && len(active.ends) > 0 {
 		if err := l.rotateLocked(); err != nil {
 			return 0, err
 		}
 		active = &l.segs[len(l.segs)-1]
 	}
-	var last uint64
+	t0 := time.Now()
+	l.scratch = l.scratch[:0]
 	for i, payload := range payloads {
-		t0 := time.Now()
-		l.scratch = appendFrame(l.scratch[:0], payload, i < len(payloads)-1)
-		n, err := l.opt.Injector.write(l.f, l.scratch)
-		active.size += int64(n)
-		if err != nil {
-			return 0, l.fail(err)
-		}
-		l.opt.Metrics.observeAppend(t0, frameSize(len(payload)))
-		last = l.nextLSN
-		l.nextLSN++
-		l.dirty = true
+		l.scratch = appendFrame(l.scratch, payload, i < len(payloads)-1)
 	}
+	if _, err := l.opt.Injector.write(l.f, l.scratch); err != nil {
+		return 0, l.fail(err)
+	}
+	l.opt.Metrics.observeAppend(t0, len(payloads), total)
+	off := active.size()
+	for _, payload := range payloads {
+		off += frameSize(len(payload))
+		active.ends = append(active.ends, off)
+	}
+	l.nextLSN += uint64(len(payloads))
+	l.dirty = true
 	switch l.opt.Sync {
 	case SyncAlways:
 		if err := l.syncLocked(); err != nil {
@@ -526,7 +516,7 @@ func (l *Log) AppendBatch(payloads [][]byte) (uint64, error) {
 			}
 		}
 	}
-	return last, nil
+	return l.nextLSN - 1, nil
 }
 
 // rotateLocked seals the active segment and starts a new one.
@@ -705,23 +695,54 @@ func (l *Log) OldestLSN() uint64 {
 	return l.segs[0].first
 }
 
-// ReadRecords reads back durable record payloads starting at LSN from, in
-// order, stopping after roughly maxBytes of payload (maxBytes <= 0 uses
-// 256 KiB); at least one record is returned when any is available. It is the
-// segment streaming iterator behind replication: a primary tails its own log
-// to feed standbys, including records not yet fsynced (a replica holding
-// more than the primary's stable storage is harmless). If from precedes the
-// oldest retained segment the caller gets ErrCompacted and must bootstrap
-// from a snapshot instead. Reading works on sealed and even poisoned logs —
-// draining a fenced log is exactly the failover path.
+// ReadRecords reads back record payloads starting at LSN from, in order,
+// stopping after roughly maxBytes of payload (maxBytes <= 0 uses 256 KiB); at
+// least one record is returned when any is available. It is the segment
+// streaming iterator behind replication: a primary tails its own log to feed
+// standbys, including records not yet fsynced (a replica holding more than
+// the primary's stable storage is harmless). If from precedes the oldest
+// retained segment the caller gets ErrCompacted and must bootstrap from a
+// snapshot instead. Reading works on sealed and even poisoned logs — draining
+// a fenced log is exactly the failover path.
+//
+// The cost is that of the records returned, whatever the segment holds: the
+// per-segment offset index turns (from, maxBytes) into byte ranges under the
+// log mutex, and the bytes are read after it is released, so a reader never
+// stands between an Append and the disk. A segment a racing checkpoint
+// deleted in between is reported as ErrCompacted.
 func (l *Log) ReadRecords(from uint64, maxBytes int) ([][]byte, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return nil, fmt.Errorf("wal: log closed")
-	}
 	if from == 0 {
 		from = 1
+	}
+	if maxBytes <= 0 {
+		maxBytes = 256 << 10
+	}
+	l.mu.Lock()
+	spans, err := l.tailSpansLocked(from, maxBytes)
+	l.mu.Unlock()
+	if err != nil || len(spans) == 0 {
+		return nil, err
+	}
+	n := 0
+	for _, sp := range spans {
+		n += sp.records
+	}
+	out := make([][]byte, 0, n)
+	for _, sp := range spans {
+		if out, err = l.readSpan(sp, out); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// tailSpansLocked resolves a ReadRecords request into the byte ranges that
+// hold the records it returns: from the record numbered from, through the
+// record whose payload brings the total to maxBytes, across as many segments
+// as that takes. The caller holds l.mu.
+func (l *Log) tailSpansLocked(from uint64, maxBytes int) ([]readSpan, error) {
+	if l.closed {
+		return nil, fmt.Errorf("wal: log closed")
 	}
 	if from >= l.nextLSN {
 		return nil, nil
@@ -729,45 +750,53 @@ func (l *Log) ReadRecords(from uint64, maxBytes int) ([][]byte, error) {
 	if len(l.segs) == 0 || from < l.segs[0].first {
 		return nil, ErrCompacted
 	}
-	if maxBytes <= 0 {
-		maxBytes = 256 << 10
-	}
-	var out [][]byte
-	got := 0
-	for i := range l.segs {
-		sg := l.segs[i]
-		if i+1 < len(l.segs) && l.segs[i+1].first <= from {
-			continue // segment wholly before the requested position
-		}
-		data, err := os.ReadFile(filepath.Join(l.dir, sg.name))
-		if err != nil {
-			return nil, fmt.Errorf("wal: %w", err)
-		}
-		if int64(len(data)) > sg.size {
-			data = data[:sg.size]
-		}
-		if len(data) < segHeaderSize {
-			break // torn header after a poisoning crash; nothing durable here
-		}
-		lsn := sg.first
-		done := false
-		_, _, _, scanErr := scanRecords(data[segHeaderSize:], func(p []byte, _ bool) error {
-			if lsn >= from && !done {
-				out = append(out, p)
-				got += len(p)
-				if got >= maxBytes {
-					done = true
-				}
-			}
-			lsn++
-			return nil
-		})
-		if scanErr != nil {
-			return nil, scanErr
-		}
-		if done {
+	// Segments are contiguous in LSN, so the last one starting at or before
+	// from holds it.
+	i := sort.Search(len(l.segs), func(i int) bool { return l.segs[i].first > from }) - 1
+	var spans []readSpan
+	for got := 0; i < len(l.segs) && got < maxBytes; i++ {
+		sg := &l.segs[i]
+		k := int(from - sg.first)
+		if k >= len(sg.ends) {
 			break
 		}
+		sp := readSpan{name: sg.name, off: sg.start(k)}
+		for ; k < len(sg.ends) && got < maxBytes; k++ {
+			got += int(sg.ends[k]-sg.start(k)) - frameHeaderSize
+			sp.end = sg.ends[k]
+			sp.records++
+		}
+		from += uint64(sp.records)
+		spans = append(spans, sp)
+	}
+	return spans, nil
+}
+
+// readSpan reads one planned byte range and appends its record payloads to
+// out. It runs outside the log mutex: the range was valid when planned and
+// segment files are append-only, so the only thing that can change under it
+// is the file's deletion by a checkpoint.
+func (l *Log) readSpan(sp readSpan, out [][]byte) ([][]byte, error) {
+	f, err := os.Open(filepath.Join(l.dir, sp.name))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, ErrCompacted
+	}
+	if err != nil {
+		return nil, fmt.Errorf("wal: %w", err)
+	}
+	defer f.Close()
+	buf := make([]byte, sp.end-sp.off)
+	if _, err := f.ReadAt(buf, sp.off); err != nil {
+		return nil, fmt.Errorf("wal: read %s: %w", sp.name, err)
+	}
+	l.opt.Metrics.observeRead(len(buf))
+	for len(buf) > 0 {
+		payload, rest, ok := splitFrame(buf)
+		if !ok {
+			return nil, fmt.Errorf("wal: %s: damaged record at byte %d", sp.name, sp.end-int64(len(buf)))
+		}
+		out = append(out, payload)
+		buf = rest
 	}
 	return out, nil
 }
@@ -791,7 +820,7 @@ func (l *Log) SetNextLSN(next uint64) error {
 	if next == 0 {
 		return fmt.Errorf("wal: LSNs are 1-based")
 	}
-	if l.nextLSN != 1 || len(l.segs) != 1 || l.segs[0].size != segHeaderSize {
+	if l.nextLSN != 1 || len(l.segs) != 1 || len(l.segs[0].ends) != 0 {
 		return fmt.Errorf("wal: SetNextLSN on a non-pristine log")
 	}
 	if next == l.nextLSN {
