@@ -2,9 +2,12 @@ package grid
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"coalloc/internal/period"
+	"coalloc/internal/wal"
 )
 
 // benchSite builds a 64-server site with a realistic spread of committed
@@ -71,5 +74,80 @@ func BenchmarkSitePrepareAbort(b *testing.B) {
 		if err := s.Abort(0, id); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// countingWAL counts the group commits and records that cross the journal
+// seam, whichever of its two methods the site picks.
+type countingWAL struct {
+	log              *wal.Log
+	flushes, records atomic.Int64
+}
+
+func (c *countingWAL) Append(record []byte) (uint64, error) {
+	c.flushes.Add(1)
+	c.records.Add(1)
+	return c.log.Append(record)
+}
+
+func (c *countingWAL) AppendBatch(records [][]byte) (uint64, error) {
+	c.flushes.Add(1)
+	c.records.Add(int64(len(records)))
+	return c.log.AppendBatch(records)
+}
+
+func (c *countingWAL) Checkpoint(snapshot []byte) error { return c.log.Checkpoint(snapshot) }
+
+// BenchmarkSiteWritersWAL measures the durable write path under 1, 2 and 8
+// concurrent writers, each running prepare → commit → compensating abort (so
+// the calendar stays level) against a real fsync-per-commit log. An op is one
+// such triple, three records. records/flush is the group-commit size: 1 with
+// a single writer, and it must rise with the writer count — batches applied
+// while an fsync is in flight ride the next one.
+func BenchmarkSiteWritersWAL(b *testing.B) {
+	for _, writers := range []int{1, 2, 8} {
+		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
+			wlog, _, err := wal.Open(b.TempDir(), wal.Options{Sync: wal.SyncAlways})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer wlog.Close()
+			s := benchSite(b)
+			cw := &countingWAL{log: wlog}
+			s.AttachWAL(cw)
+			window := period.Time(int64(period.Hour))
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						i := next.Add(1)
+						if i > int64(b.N) {
+							return
+						}
+						id := fmt.Sprintf("h-%d", i)
+						if _, err := s.Prepare(0, id, window, window.Add(period.Hour), 1, period.Hour); err != nil {
+							b.Error(err)
+							return
+						}
+						if err := s.Commit(0, id); err != nil {
+							b.Error(err)
+							return
+						}
+						if err := s.Abort(0, id); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			b.ReportMetric(float64(cw.records.Load())/float64(cw.flushes.Load()), "records/flush")
+			b.ReportMetric(float64(cw.flushes.Load())/float64(b.N), "flushes/op")
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"time"
 
 	"coalloc/internal/core"
 	"coalloc/internal/job"
@@ -30,12 +31,39 @@ import (
 // never saw the prepare succeed, times out, and aborts; the recovered site
 // has no trace of the hold.
 //
-// Journaling is staged: each mutation encodes its records into s.staged as
-// it applies (stageOpLocked), and the batch leader flushes the whole batch
-// with one group commit (flushStagedLocked) before any writer in the batch
-// is acknowledged — the same contract, amortized. When the attached log
-// supports it (BatchWAL), the flush is a single AppendBatch with one fsync;
-// otherwise records are appended one by one, preserving order.
+// The write path has three steps, and only the first holds the site lock:
+//
+//	apply   under s.mu the batch's execs run, each encoding the records of
+//	        what it changed into s.staged (stageOpLocked); the batch then
+//	        captures its view and appends (records, view, writers) to the
+//	        flush list — still under s.mu, so list order is apply order.
+//	flush   outside s.mu one flusher at a time takes the WHOLE list and
+//	        appends the concatenated records as one group commit (a single
+//	        AppendBatch when the log is a BatchWAL, else record by record).
+//	        Batches applied while that append is on its way to the disk — and
+//	        to the semi-sync standby — pile up behind it and ride the next
+//	        one: group size grows with concurrency, not with latency.
+//	install the flusher installs the view of the last batch it flushed and
+//	        wakes every writer it carried.
+//
+// Whoever appends to an idle flush stage becomes its flusher; a flusher that
+// finds more work after its round hands the stage to one of the writers
+// waiting in it and returns, so nobody's reply waits for a flush that does
+// not carry their records. There is no goroutine per site. A batch that
+// staged nothing while the stage is idle — every batch of a site with no
+// journal — skips the stage: it publishes and completes under the lock.
+//
+// Invariants (each has a test named for it in flush_test.go):
+//
+//	I1  journal order is apply order.
+//	I2  a writer is acknowledged only after its own records are durable
+//	    (and, on a semi-sync primary, acknowledged by the standby).
+//	I3  a view is installed only after every record it reflects is durable.
+//	I4  Checkpoint drains the flush stage while holding s.mu before it
+//	    snapshots, so no record is both inside a checkpoint and after it.
+//	I5  a flush failure poisons the site, fails every writer in or behind
+//	    that flush, and no later view is ever installed.
+//	I6  nothing blocks in WAL.Append* while holding s.mu.
 
 // OpKind enumerates the journaled site mutations.
 type OpKind uint8
@@ -131,21 +159,36 @@ var ErrNoWAL = errors.New("grid: no write-ahead log attached")
 func (s *Site) AttachWAL(w WAL) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.fmu.Lock()
+	defer s.fmu.Unlock()
 	s.wal = w
 }
 
+// poisoned returns the sticky journal failure, if any. It is an atomic
+// because the flusher that hits the failure does not hold s.mu.
+func (s *Site) poisoned() error {
+	if p := s.walErr.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// poison records the first journal failure: memory is now ahead of the
+// durable state and stays frozen until a restart recovers the durable prefix.
+func (s *Site) poison(err error) { s.walErr.CompareAndSwap(nil, &err) }
+
 // walOKLocked reports the sticky journal failure, if any.
 func (s *Site) walOKLocked() error {
-	if s.wal != nil && s.walErr != nil {
-		return fmt.Errorf("grid %s: write-ahead log failed, restart to recover: %w", s.name, s.walErr)
+	if err := s.poisoned(); err != nil {
+		return fmt.Errorf("grid %s: write-ahead log failed, restart to recover: %w", s.name, err)
 	}
 	return nil
 }
 
 // stageOpLocked encodes one applied mutation — stamping the post-operation
-// scheduler counters — and queues it for the batch's group commit. Only an
-// encoding failure poisons here; append failures surface in
-// flushStagedLocked.
+// scheduler counters — and stages it for the batch's hand-off to the flush
+// stage. Only an encoding failure poisons here; append failures surface in
+// the flush.
 func (s *Site) stageOpLocked(op Op) error {
 	if s.wal == nil {
 		return nil
@@ -154,51 +197,194 @@ func (s *Site) stageOpLocked(op Op) error {
 	op.SchedOps = s.sched.Ops()
 	rec, err := EncodeOp(op)
 	if err != nil {
-		s.walErr = err
+		s.poison(err)
 		return fmt.Errorf("grid %s: journal %s %q: %w", s.name, op.Kind, op.HoldID, err)
 	}
 	s.staged = append(s.staged, rec)
 	return nil
 }
 
-// flushStagedLocked appends the batch's staged records to the journal as
-// one group commit. On failure the site is poisoned: the staged mutations
-// are already applied in memory but will never be acknowledged, and only a
-// restart (recovering the durable prefix) reconciles the two.
-func (s *Site) flushStagedLocked() error {
-	if len(s.staged) == 0 || s.wal == nil {
-		s.staged = nil
-		return nil
-	}
+// flushItem is one applied batch awaiting durability: the records its execs
+// staged (possibly none: a batch applied behind an unfinished flush must not
+// publish before it, I3), the view captured when it was applied, and the
+// writers to wake once both are safe.
+type flushItem struct {
+	recs    [][]byte
+	view    *siteView
+	waiters []*pendingWrite
+}
+
+// stageBatchLocked ends a batch's apply step; the caller holds s.mu. Either
+// the batch completes here — it staged nothing and the flush stage is idle,
+// so its view can be published at once — or it is parked on the flush list.
+// A batch parked on an idle stage claims it: flusher tells the caller to run
+// flush once it has released s.mu. Everybody else who parks has a flusher
+// ahead of them and waits to be woken.
+func (s *Site) stageBatchLocked(batch []*pendingWrite) (flusher, parked bool) {
 	recs := s.staged
 	s.staged = nil
-	var err error
-	if bw, ok := s.wal.(BatchWAL); ok && len(recs) > 1 {
-		_, err = bw.AppendBatch(recs)
-	} else {
-		for _, rec := range recs {
-			if _, err = s.wal.Append(rec); err != nil {
-				break
+	if s.wal == nil {
+		s.publishLocked()
+		return false, false
+	}
+	s.fmu.Lock()
+	defer s.fmu.Unlock()
+	if err := s.poisoned(); err != nil && len(recs) > 0 {
+		// A flush failed while this batch was applying. Its records can no
+		// longer follow the ones that were lost: same verdict as theirs (I5).
+		failWrites(batch, s.journalErr(err))
+		return false, false
+	}
+	if !s.fbusy && len(recs) == 0 {
+		s.publishLocked()
+		return false, false
+	}
+	s.flist = append(s.flist, flushItem{recs: recs, view: s.viewLocked(), waiters: append([]*pendingWrite(nil), batch...)})
+	if !s.fbusy {
+		s.fbusy = true
+		return true, true
+	}
+	for _, w := range batch {
+		if w.done == nil {
+			w.done = make(chan struct{}) // the leader's own write: now it has to wait
+		}
+	}
+	return false, true
+}
+
+// journalErr wraps a flush failure for the writers it fails.
+func (s *Site) journalErr(err error) error {
+	return fmt.Errorf("grid %s: journal append: %w", s.name, err)
+}
+
+// failWrites reports err to every writer whose exec had succeeded, honoring
+// append-before-acknowledge: no mutation is acknowledged unless its record
+// is durable. Writers whose exec refused keep their own error.
+func failWrites(ws []*pendingWrite, err error) {
+	for _, w := range ws {
+		if w.err == nil {
+			w.err = err
+		}
+	}
+}
+
+// flush runs one round of the flush stage; the caller owns it (fbusy). It
+// takes everything on the list, makes it durable with one group commit,
+// installs the newest view and wakes the writers. If more was parked in the
+// meantime the stage passes to one of those writers — whose own records are
+// in the next round — and otherwise goes idle.
+func (s *Site) flush() {
+	s.fmu.Lock()
+	items := s.flist
+	s.flist = nil
+	wal := s.wal
+	s.fmu.Unlock()
+
+	recs := items[0].recs
+	traced := false
+	for i, it := range items {
+		if i > 0 {
+			recs = append(recs, it.recs...)
+		}
+		for _, w := range it.waiters {
+			traced = traced || w.sp != nil
+		}
+	}
+	var f0 time.Time
+	if traced && len(recs) > 0 {
+		f0 = time.Now()
+	}
+	if err := appendRecords(wal, recs); err != nil {
+		s.failFlush(items, err)
+		return
+	}
+	if !f0.IsZero() {
+		// One group commit shared by every writer it carried; each traced
+		// write gets its own copy of the span (it paid the full wait).
+		f1 := time.Now()
+		for _, it := range items {
+			for _, w := range it.waiters {
+				if w.sp != nil {
+					w.sp.Record("site.wal.flush", f0, f1, slog.Int("records", len(recs)))
+				}
 			}
 		}
 	}
-	if err != nil {
-		s.walErr = err
-		return fmt.Errorf("grid %s: journal append: %w", s.name, err)
+	s.install(items[len(items)-1].view)
+	for _, it := range items {
+		for _, w := range it.waiters {
+			w.wake(roleNone)
+		}
+	}
+
+	s.fmu.Lock()
+	if len(s.flist) == 0 {
+		s.fbusy = false
+		s.fidle.Broadcast()
+		s.fmu.Unlock()
+		return
+	}
+	// Everything on the list was parked behind this round, so each of its
+	// writers is blocked on a channel; the first takes over.
+	next := s.flist[0].waiters[0]
+	s.fmu.Unlock()
+	next.wake(roleFlush)
+}
+
+// appendRecords makes recs durable through the journal seam: one AppendBatch
+// when the log can group-commit, otherwise record by record, in order.
+func appendRecords(wal WAL, recs [][]byte) error {
+	if bw, ok := wal.(BatchWAL); ok && len(recs) > 1 {
+		_, err := bw.AppendBatch(recs)
+		return err
+	}
+	for _, rec := range recs {
+		if _, err := wal.Append(rec); err != nil {
+			return err
+		}
 	}
 	return nil
+}
+
+// failFlush is I5: the site is poisoned before the stage is released, so a
+// batch that parks after this sees the poison and a batch that parked before
+// it is failed here; no view is installed, now or later.
+func (s *Site) failFlush(items []flushItem, err error) {
+	s.poison(err)
+	s.fmu.Lock()
+	items = append(items, s.flist...)
+	s.flist = nil
+	s.fbusy = false
+	s.fidle.Broadcast()
+	s.fmu.Unlock()
+	err = s.journalErr(err)
+	for _, it := range items {
+		failWrites(it.waiters, err)
+		for _, w := range it.waiters {
+			w.wake(roleNone)
+		}
+	}
 }
 
 // Checkpoint writes a full site snapshot into the attached log as the new
 // recovery baseline, letting the log truncate every segment the snapshot
 // covers. It holds the site lock across snapshot and checkpoint so no
-// mutation can slip between them and be wrongly truncated.
+// mutation can slip between them and be wrongly truncated, and first waits
+// out the flush stage (I4): a batch already applied but not yet appended
+// would otherwise be inside the snapshot and again after it in the log.
+// Nothing can be parked while s.mu is held and a flusher needs no site
+// lock to finish, so the wait is one flush long.
 func (s *Site) Checkpoint() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.wal == nil {
 		return ErrNoWAL
 	}
+	s.fmu.Lock()
+	for s.fbusy {
+		s.fidle.Wait()
+	}
+	s.fmu.Unlock()
 	if err := s.walOKLocked(); err != nil {
 		return err
 	}
@@ -207,7 +393,7 @@ func (s *Site) Checkpoint() error {
 		return err
 	}
 	if err := s.wal.Checkpoint(buf.Bytes()); err != nil {
-		s.walErr = err
+		s.poison(err)
 		return fmt.Errorf("grid %s: checkpoint: %w", s.name, err)
 	}
 	s.event(obs.EventCheckpoint, slog.Int("bytes", buf.Len()))

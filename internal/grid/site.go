@@ -27,9 +27,12 @@
 // view). Writes — Prepare, Commit, Abort, and any read that must advance
 // the clock past the published epoch — go through a bounded admission queue
 // (submitWrite) that coalesces concurrently arriving mutations into one
-// lock acquisition and one write-ahead-log group commit per batch. A view
-// is published only after the batch's journal records are durable, so a
-// reader can never observe state the log does not yet describe.
+// lock acquisition per batch. A journaled batch is applied under the site
+// lock but made durable after it: its records, its view and its writers
+// pass to a flush stage (durability.go) that group-commits everything
+// applied while the previous fsync was in flight. A view is published only
+// after the journal records it reflects are durable, so a reader can never
+// observe state the log does not yet describe.
 //
 // All timestamps are simulation time supplied by the caller, which keeps
 // the protocol deterministic and testable; a deployment would pass wall
@@ -60,22 +63,48 @@ type Hold struct {
 }
 
 // maxWriteBatch bounds how many queued mutations one batch leader applies
-// under a single lock acquisition (and single journal group commit). Small
-// enough to bound any one caller's latency, large enough to amortize the
-// fsync under load.
+// under a single lock acquisition. Small enough to bound any one caller's
+// latency, large enough to amortize the lock and the view under load.
 const maxWriteBatch = 64
 
-// pendingWrite is one queued mutation: exec runs under the site lock and may
-// stage journal records; err carries exec's result (or the batch's journal
-// failure) back to the submitter once done is closed. sp, when non-nil, is
-// the submitter's trace span: the batch leader records the queue wait and
-// the group-commit flush under it.
+// pendingWrite is one submitted mutation: exec runs under the site lock and
+// may stage journal records; err carries exec's result (or the journal
+// failure of the flush the write rode) back to the submitter. sp, when
+// non-nil, is the submitter's trace span: the queue wait and the group-commit
+// flush are recorded under it.
+//
+// done is what a submitter that must wait blocks on: a write queued behind a
+// batch leader, or applied and parked behind a flush somebody else runs. It
+// is closed exactly once, after role says why: roleNone — the write is
+// complete and err is final; roleLead — the previous leader handed over the
+// admission queue, this write still unapplied; roleFlush — the previous
+// flusher handed over the flush stage, this write's records still in it. A
+// submitter that never has to wait (the uncontended case) has no channel.
 type pendingWrite struct {
 	exec     func() error
 	err      error
 	done     chan struct{}
+	role     writeRole
 	sp       *obs.ActiveSpan
 	enqueued time.Time
+}
+
+// writeRole is why a waiting submitter was woken; see pendingWrite.
+type writeRole uint8
+
+const (
+	roleNone writeRole = iota
+	roleLead
+	roleFlush
+)
+
+// wake hands a waiting submitter its role (roleNone: its write is complete).
+// A submitter with no channel is the caller itself and needs no waking.
+func (w *pendingWrite) wake(role writeRole) {
+	if w.done != nil {
+		w.role = role
+		close(w.done)
+	}
 }
 
 // siteView is one published epoch: the calendar's searchable state plus the
@@ -135,9 +164,15 @@ type Site struct {
 	epochSalt uint64
 
 	// durability; see durability.go
-	wal    WAL      // optional journal; see AttachWAL
-	walErr error    // sticky journal failure: the site refuses mutations
-	staged [][]byte // encoded ops applied in memory this batch, not yet appended
+	wal    WAL                   // optional journal; see AttachWAL. Written under mu and fmu, read under either
+	walErr atomic.Pointer[error] // sticky journal failure: the site refuses mutations; see poison
+	staged [][]byte              // encoded ops applied in memory this batch, not yet handed to the flush stage
+
+	// flush stage; see durability.go. Lock order: mu, then fmu.
+	fmu   sync.Mutex
+	flist []flushItem // applied batches awaiting durability, in apply order
+	fbusy bool        // a flusher owns the stage; len(flist) > 0 implies fbusy
+	fidle sync.Cond   // on fmu; signalled when fbusy clears
 
 	// replica role; see role.go. standbyFlag marks a standby applying the
 	// primary's stream; fencedFlag marks a deposed primary that must never
@@ -188,6 +223,7 @@ func NewSite(name string, cfg core.Config, now period.Time) (*Site, error) {
 		// allocation per request on the always-on tracing path.
 		spanAttrs: []slog.Attr{slog.String("site", name)},
 	}
+	s.fidle.L = &s.fmu
 	s.publishLocked()
 	return s, nil
 }
@@ -229,18 +265,25 @@ func (s *Site) Name() string { return s.name }
 // Servers returns the site's capacity.
 func (s *Site) Servers() int { return s.sched.Config().Servers }
 
-// publishLocked installs a fresh epoch view. Called at construction,
-// restore, replay, and at the end of every successful mutation batch; the
-// caller holds s.mu (or has exclusive access). A poisoned site never
-// publishes: its memory is ahead of the durable state, and the read path
-// must keep serving the last state the journal describes.
+// publishLocked captures and installs a fresh epoch view in one step. Called
+// at construction, restore, replay, and at the end of every mutation batch
+// that has nothing to wait for in the flush stage; the caller holds s.mu (or
+// has exclusive access). A poisoned site never publishes: its memory is
+// ahead of the durable state, and the read path must keep serving the last
+// state the journal describes.
 func (s *Site) publishLocked() {
-	if s.wal != nil && s.walErr != nil {
+	if s.poisoned() != nil {
 		return
 	}
+	s.install(s.viewLocked())
+}
+
+// viewLocked captures the site's state as an immutable view (the calendar
+// side is copy-on-write, so this is microseconds); the caller holds s.mu.
+func (s *Site) viewLocked() *siteView {
 	cv := s.sched.PublishView()
 	epoch := s.epochSalt + cv.Epoch()
-	s.view.Store(&siteView{
+	return &siteView{
 		cal:         cv,
 		epoch:       epoch,
 		salt:        s.epochSalt,
@@ -249,7 +292,14 @@ func (s *Site) publishLocked() {
 		aborted:     s.aborted,
 		expired:     s.expired,
 		lookupAttrs: []slog.Attr{slog.String("site", s.name), slog.Uint64("epoch", epoch)},
-	})
+	}
+}
+
+// install makes v the view readers see. Installs are serialized — by s.mu
+// while the flush stage is idle, by the stage's single flusher otherwise —
+// and always in apply order.
+func (s *Site) install(v *siteView) {
+	s.view.Store(v)
 	// Wake epoch watchers only after the new view is visible: a waiter that
 	// loaded the old channel re-checks the view before blocking, so the
 	// store-then-close order guarantees it either sees this epoch or gets
@@ -289,59 +339,95 @@ func (s *Site) WaitEpoch(after uint64, timeout time.Duration) (epoch, salt uint6
 }
 
 // submitWrite runs exec through the admission queue. The first submitter to
-// find the queue idle becomes the batch leader: it drains the queue in
-// bounded batches, running each batch's execs under one lock acquisition,
-// flushing their journal records as one group commit, and publishing one
-// fresh view. Followers enqueue and block until their write's batch
-// completes. exec runs with s.mu held and must not block.
+// find the queue idle becomes the batch leader: it applies its own write and
+// whatever queued up behind it under one lock acquisition ending in one
+// view. Followers enqueue and block until their write completes — or until
+// the leader, done with its batch, makes the first of them the next leader.
+// exec runs with s.mu held and must not block.
 func (s *Site) submitWrite(exec func() error) error { return s.submitWriteTraced(nil, exec) }
 
 // submitWriteTraced is submitWrite with the submitter's span attached, so
-// the batch leader can record how long the write waited in the admission
-// queue and how long its group commit took.
+// the queue wait and the group-commit flush are recorded under it.
+//
+// A submitter holds at most one role at a time: it leads the admission
+// queue, or runs the flush stage, or is parked on its done channel until
+// somebody completes its write or hands it a role. The uncontended
+// submitter leads, completes its own write and returns without ever
+// allocating or touching a channel.
 func (s *Site) submitWriteTraced(sp *obs.ActiveSpan, exec func() error) error {
-	w := &pendingWrite{exec: exec, done: make(chan struct{}), sp: sp}
+	w := &pendingWrite{exec: exec, sp: sp}
 	if sp != nil {
 		w.enqueued = time.Now()
 	}
+	role := roleLead
 	s.qmu.Lock()
-	s.queue = append(s.queue, w)
 	if s.qbusy {
-		s.qmu.Unlock()
-		<-w.done
-		return w.err
+		w.done = make(chan struct{})
+		s.queue = append(s.queue, w)
+		role = roleNone
+	} else {
+		s.qbusy = true
 	}
-	s.qbusy = true
 	s.qmu.Unlock()
 	for {
-		s.qmu.Lock()
-		if len(s.queue) == 0 {
-			s.qbusy = false
-			s.qmu.Unlock()
-			break
+		switch role {
+		case roleLead:
+			s.leadWrites(w)
+		case roleFlush:
+			s.flush()
 		}
-		batch := s.queue
-		if len(batch) > maxWriteBatch {
-			batch = batch[:maxWriteBatch]
-			s.queue = append([]*pendingWrite(nil), s.queue[maxWriteBatch:]...)
-		} else {
-			s.queue = nil
+		if w.done == nil {
+			return w.err
 		}
-		s.qmu.Unlock()
-		s.runBatch(batch)
+		<-w.done
+		if role = w.role; role == roleNone {
+			return w.err
+		}
+		w.done = nil
 	}
-	<-w.done
-	return w.err
 }
 
-// runBatch applies one batch of queued mutations under a single lock
-// acquisition: every exec runs back to back, their staged journal records
-// are flushed as one group commit, and — if the journal accepted them — one
-// fresh epoch view is published. A journal failure poisons the site and is
-// reported to every writer in the batch whose exec had succeeded, honoring
-// append-before-acknowledge: no mutation is acknowledged unless its record
-// is durable.
-func (s *Site) runBatch(batch []*pendingWrite) {
+// leadWrites is the batch leader's turn: apply w together with whatever has
+// queued up behind it (bounded, so no one caller's latency is hostage to the
+// queue), then pass the queue to the next queued writer. Leading is one
+// batch long because a leader whose own write ends up parked in the flush
+// stage may be handed that stage, and must then be waiting for it — not
+// blocked on s.mu behind a Checkpoint that is itself waiting for the stage
+// to drain. For the same reason the queue is passed on before a flush this
+// leader claimed: the flush blocks on the disk, and the next batch's apply
+// must not wait for it (I6).
+func (s *Site) leadWrites(w *pendingWrite) {
+	own := [1]*pendingWrite{w}
+	batch := own[:]
+	s.qmu.Lock()
+	if n := min(len(s.queue), maxWriteBatch-1); n > 0 {
+		batch = append(batch, s.queue[:n]...)
+		s.queue = s.queue[n:]
+	}
+	s.qmu.Unlock()
+	flusher := s.applyBatch(batch)
+	s.qmu.Lock()
+	if len(s.queue) == 0 {
+		s.queue = nil
+		s.qbusy = false
+	} else {
+		next := s.queue[0]
+		s.queue = s.queue[1:]
+		next.wake(roleLead)
+	}
+	s.qmu.Unlock()
+	if flusher {
+		s.flush()
+	}
+}
+
+// applyBatch applies one batch of mutations under a single lock acquisition:
+// every exec runs back to back, then the batch either completes on the spot
+// (nothing to make durable and nothing ahead of it in the flush stage: one
+// fresh view, every writer woken) or is parked in the flush stage, which
+// completes it once its records are durable. It reports whether the caller
+// claimed the flush stage and must now run it.
+func (s *Site) applyBatch(batch []*pendingWrite) (flusher bool) {
 	traced := false
 	for _, w := range batch {
 		if w.sp != nil {
@@ -362,34 +448,14 @@ func (s *Site) runBatch(batch []*pendingWrite) {
 	for _, w := range batch {
 		w.err = w.exec()
 	}
-	// The group commit is one fsync shared by the batch; each traced write
-	// gets its own copy of the flush span (it paid the full wait either way).
-	flushing := traced && s.wal != nil && len(s.staged) > 0
-	var f0 time.Time
-	if flushing {
-		f0 = time.Now()
-	}
-	if err := s.flushStagedLocked(); err != nil {
-		for _, w := range batch {
-			if w.err == nil {
-				w.err = err
-			}
-		}
-	} else {
-		s.publishLocked()
-	}
-	if flushing {
-		f1 := time.Now()
-		for _, w := range batch {
-			if w.sp != nil {
-				w.sp.Record("site.wal.flush", f0, f1, slog.Int("batch", len(batch)))
-			}
-		}
-	}
+	flusher, parked := s.stageBatchLocked(batch)
 	s.mu.Unlock()
-	for _, w := range batch {
-		close(w.done)
+	if !parked {
+		for _, w := range batch {
+			w.wake(roleNone)
+		}
 	}
+	return flusher
 }
 
 // advanceLocked moves the site clock and lazily expires stale holds. Each
@@ -399,7 +465,7 @@ func (s *Site) runBatch(batch []*pendingWrite) {
 // function of now, so replay converges to the same map without journaling
 // the prunes (ReplayOp applies the identical rule at each record's Now).
 func (s *Site) advanceLocked(now period.Time) {
-	if s.wal != nil && s.walErr != nil {
+	if s.poisoned() != nil {
 		return
 	}
 	s.sched.Advance(now)

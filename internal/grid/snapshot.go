@@ -117,6 +117,7 @@ func RestoreSite(r io.Reader) (*Site, error) {
 		// incarnation already handed to brokers.
 		epochSalt: newEpochSalt(),
 	}
+	s.fidle.L = &s.fmu
 	for _, h := range snap.Holds {
 		if h.ID == "" {
 			return nil, fmt.Errorf("grid: restore site %q: hold without id", snap.Name)

@@ -360,8 +360,9 @@ func (p *Primary) wake() {
 // waitAcks blocks a semi-sync acknowledgment until AckReplicas standbys
 // persisted through lsn, the primary is fenced (the append fails and the
 // site poisons itself — nothing was acknowledged), or the timeout degrades
-// the wait. Callers hold the site lock: semi-sync latency is group-commit
-// latency, shared by the whole batch.
+// the wait. The caller is the site's flusher, which holds no site lock:
+// semi-sync latency is group-commit latency, shared by every writer whose
+// records the flush carried, while the next batch is applied behind it.
 func (p *Primary) waitAcks(lsn uint64) error {
 	if p.cfg.Mode != SemiSync {
 		return nil
@@ -478,10 +479,10 @@ func (p *Primary) fence(cause string) {
 	p.fenced = true
 	p.fenceCause = cause
 	p.mu.Unlock()
-	// Wake the semi-sync waiters BEFORE touching the site lock: a parked
-	// waiter holds site.mu (it is inside the site's group commit), so
-	// site.Fence would deadlock against it. The flag is already up, so no
-	// new append can be acknowledged in the gap — sendable refuses it.
+	// Wake the semi-sync waiters first: their appends fail and poison the
+	// site without waiting for the site lock Fence takes below. The flag is
+	// already up, so no new append can be acknowledged in the gap — sendable
+	// refuses it.
 	p.cond.Broadcast()
 	p.site.Fence(cause)
 	if err := p.log.Seal([]byte(cause)); err != nil && !errors.Is(err, wal.ErrSealed) {

@@ -564,9 +564,9 @@ func (l *Log) Sync() error {
 // temp file, fsync, rename, directory fsync — so a crash at any point leaves
 // either the previous baseline or the new one intact.
 //
-// Callers must prevent concurrent Appends (internal/grid holds the site lock
-// across snapshot and checkpoint), otherwise a record appended between
-// snapshot and checkpoint would be wrongly truncated.
+// Callers must prevent concurrent Appends (internal/grid drains its flush
+// stage and holds the site lock across snapshot and checkpoint), otherwise a
+// record appended between snapshot and checkpoint would be wrongly truncated.
 func (l *Log) Checkpoint(snapshot []byte) error {
 	return l.CheckpointRetain(snapshot, 0)
 }
