@@ -2,7 +2,6 @@ package grid
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -113,26 +112,6 @@ type Op struct {
 	SchedOps   uint64
 }
 
-// EncodeOp serializes an op for the journal.
-func EncodeOp(op Op) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(op); err != nil {
-		return nil, fmt.Errorf("grid: encode op: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeOp deserializes a journal record. Corrupt input yields an error,
-// never a panic (framing corruption is already caught by the WAL's
-// checksums; this guards the payload layer).
-func DecodeOp(b []byte) (Op, error) {
-	var op Op
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&op); err != nil {
-		return Op{}, fmt.Errorf("grid: decode op: %w", err)
-	}
-	return op, nil
-}
-
 // WAL is the durability surface a site journals through; internal/wal's Log
 // satisfies it. Append persists one record and returns its sequence number;
 // Checkpoint makes snapshot the new recovery baseline, superseding every
@@ -187,21 +166,14 @@ func (s *Site) walOKLocked() error {
 
 // stageOpLocked encodes one applied mutation — stamping the post-operation
 // scheduler counters — and stages it for the batch's hand-off to the flush
-// stage. Only an encoding failure poisons here; append failures surface in
-// the flush.
-func (s *Site) stageOpLocked(op Op) error {
+// stage, where append failures surface.
+func (s *Site) stageOpLocked(op Op) {
 	if s.wal == nil {
-		return nil
+		return
 	}
 	op.SchedStats = s.sched.Stats()
 	op.SchedOps = s.sched.Ops()
-	rec, err := EncodeOp(op)
-	if err != nil {
-		s.poison(err)
-		return fmt.Errorf("grid %s: journal %s %q: %w", s.name, op.Kind, op.HoldID, err)
-	}
-	s.staged = append(s.staged, rec)
-	return nil
+	s.staged = append(s.staged, EncodeOp(op))
 }
 
 // flushItem is one applied batch awaiting durability: the records its execs

@@ -137,27 +137,6 @@ func TestCrashRecoveryNoCrash(t *testing.T) {
 	})
 }
 
-func TestOpEncodeDecodeRoundTrip(t *testing.T) {
-	in := Op{Kind: OpPrepare, Now: 99, HoldID: "h1", Expires: 1234, SchedOps: 7}
-	in.Alloc.Servers = []int{2, 5}
-	in.Alloc.Start, in.Alloc.End = 900, 1800
-	b, err := EncodeOp(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := DecodeOp(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Kind != in.Kind || out.HoldID != in.HoldID || out.Expires != in.Expires ||
-		out.SchedOps != in.SchedOps || len(out.Alloc.Servers) != 2 {
-		t.Fatalf("round trip mismatch: %+v != %+v", out, in)
-	}
-	if _, err := DecodeOp([]byte("garbage")); err == nil {
-		t.Fatal("decode of garbage succeeded")
-	}
-}
-
 func TestCheckpointWithoutWAL(t *testing.T) {
 	s := mustSite(t, "nowal", 4)
 	if err := s.Checkpoint(); !errors.Is(err, ErrNoWAL) {

@@ -477,9 +477,7 @@ func (s *Site) advanceLocked(now period.Time) {
 				s.event(obs.EventExpire, slog.String("hold", id), slog.Int64("expired", int64(h.Expires)))
 			}
 			delete(s.holds, id)
-			if err := s.stageOpLocked(Op{Kind: OpExpire, Now: now, HoldID: id}); err != nil {
-				return
-			}
+			s.stageOpLocked(Op{Kind: OpExpire, Now: now, HoldID: id})
 		}
 	}
 	s.pruneCommittedLocked(now)
@@ -686,9 +684,7 @@ func (s *Site) PrepareConflictTraced(tc obs.SpanContext, now period.Time, holdID
 		hold := Hold{ID: holdID, Alloc: alloc, Expires: now.Add(lease)}
 		s.holds[holdID] = hold
 		s.prepared++
-		if err := s.stageOpLocked(Op{Kind: OpPrepare, Now: now, HoldID: holdID, Alloc: alloc, Expires: hold.Expires}); err != nil {
-			return err
-		}
+		s.stageOpLocked(Op{Kind: OpPrepare, Now: now, HoldID: holdID, Alloc: alloc, Expires: hold.Expires})
 		s.event(obs.EventPrepare,
 			slog.String("hold", holdID),
 			slog.Int("servers", servers),
@@ -745,9 +741,7 @@ func (s *Site) CommitTraced(tc obs.SpanContext, now period.Time, holdID string) 
 			s.committedHolds[holdID] = h
 		}
 		s.committed++
-		if err := s.stageOpLocked(Op{Kind: OpCommit, Now: now, HoldID: holdID}); err != nil {
-			return err
-		}
+		s.stageOpLocked(Op{Kind: OpCommit, Now: now, HoldID: holdID})
 		s.event(obs.EventCommit, slog.String("hold", holdID))
 		return nil
 	})
@@ -790,9 +784,7 @@ func (s *Site) AbortTraced(tc obs.SpanContext, now period.Time, holdID string) e
 			if releaseErr == nil {
 				s.aborted++
 			}
-			if err := s.stageOpLocked(Op{Kind: OpAbort, Now: now, HoldID: holdID}); err != nil {
-				return err
-			}
+			s.stageOpLocked(Op{Kind: OpAbort, Now: now, HoldID: holdID})
 			if releaseErr != nil {
 				return fmt.Errorf("grid %s: abort release: %v", s.name, releaseErr)
 			}
@@ -806,9 +798,7 @@ func (s *Site) AbortTraced(tc obs.SpanContext, now period.Time, holdID string) e
 		}
 		// The hold is gone either way, so the mutation is journaled either way;
 		// replay mirrors the same delete-then-try-release sequence.
-		if err := s.stageOpLocked(Op{Kind: OpAbort, Now: now, HoldID: holdID}); err != nil {
-			return err
-		}
+		s.stageOpLocked(Op{Kind: OpAbort, Now: now, HoldID: holdID})
 		if releaseErr != nil {
 			return fmt.Errorf("grid %s: abort release: %v", s.name, releaseErr)
 		}
