@@ -186,8 +186,8 @@ type flushItem struct {
 	waiters []*pendingWrite
 }
 
-// stageBatchLocked ends a batch's apply step; the caller holds s.mu. Either
-// the batch completes here — it staged nothing and the flush stage is idle,
+// stageBatchLocked ends a journaled site's batch apply step; the caller holds
+// s.mu. Either the batch completes here — it staged nothing and the flush stage is idle,
 // so its view can be published at once — or it is parked on the flush list.
 // A batch parked on an idle stage claims it: flusher tells the caller to run
 // flush once it has released s.mu. Everybody else who parks has a flusher
@@ -195,10 +195,6 @@ type flushItem struct {
 func (s *Site) stageBatchLocked(batch []*pendingWrite) (flusher, parked bool) {
 	recs := s.staged
 	s.staged = nil
-	if s.wal == nil {
-		s.publishLocked()
-		return false, false
-	}
 	s.fmu.Lock()
 	defer s.fmu.Unlock()
 	if err := s.poisoned(); err != nil && len(recs) > 0 {
