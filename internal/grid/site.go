@@ -74,8 +74,8 @@ const maxWriteBatch = 64
 // flush are recorded under it.
 //
 // done is what a submitter that must wait blocks on: a write queued behind a
-// batch leader, or applied and parked behind a flush somebody else runs. It
-// is closed exactly once, after role says why: roleNone — the write is
+// batch leader, or applied and parked behind a flush somebody else runs.
+// Whoever closes it first sets role to say why: roleNone — the write is
 // complete and err is final; roleLead — the previous leader handed over the
 // admission queue, this write still unapplied; roleFlush — the previous
 // flusher handed over the flush stage, this write's records still in it. A

@@ -64,18 +64,6 @@ func FuzzScanRecords(f *testing.F) {
 			t.Fatal("re-encoded records differ from consumed prefix")
 		}
 
-		// splitFrame walks the same frames one at a time, ignoring batch
-		// boundaries: over the consumed prefix it must yield the same payloads.
-		rest := b[:consumed]
-		for i, p := range payloads {
-			var got []byte
-			var ok bool
-			if got, rest, ok = splitFrame(rest); !ok || !bytes.Equal(got, p) {
-				t.Fatalf("splitFrame disagrees with scanRecords at record %d", i)
-			}
-		}
-		splitFrame(b[consumed:])
-
 		// The checkpoint parser must be equally panic-free.
 		if cover, payload, err := parseCheckpoint(b); err == nil {
 			if int64(len(payload)) != int64(len(b))-ckptHeaderSize {

@@ -57,23 +57,27 @@ func appendFrame(buf, payload []byte, more bool) []byte {
 // length.
 func frameSize(payloadLen int) int64 { return int64(frameHeaderSize + payloadLen) }
 
-// splitFrame parses the record frame at the head of b, returning its payload
-// and the bytes after it; ok is false if the frame is incomplete or fails its
-// checksum. The batch bit is ignored: callers that know where frames begin
-// (the offset index) do not need batch boundaries.
-func splitFrame(b []byte) (payload, rest []byte, ok bool) {
+// parseFrame parses the record frame at the head of b. On success it returns
+// the payload (aliasing b), the frame's batch bit and an empty reason; the
+// frame occupies frameSize(len(payload)) bytes. Otherwise reason names why
+// the bytes at the head of b are not a whole, intact frame.
+func parseFrame(b []byte) (payload []byte, more bool, reason string) {
 	if len(b) < frameHeaderSize {
-		return nil, nil, false
+		return nil, false, "short frame header"
 	}
-	n := binary.LittleEndian.Uint32(b[0:4]) &^ batchBit
-	if n > MaxRecord || uint32(len(b)-frameHeaderSize) < n {
-		return nil, nil, false
+	raw := binary.LittleEndian.Uint32(b[0:4])
+	n := raw &^ batchBit
+	if n > MaxRecord {
+		return nil, false, "oversized record length"
+	}
+	if uint32(len(b)-frameHeaderSize) < n {
+		return nil, false, "short payload"
 	}
 	payload = b[frameHeaderSize : frameHeaderSize+int(n)]
 	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(b[4:8]) {
-		return nil, nil, false
+		return nil, false, "checksum mismatch"
 	}
-	return payload, b[frameHeaderSize+int(n):], true
+	return payload, raw&batchBit != 0, ""
 }
 
 // scanRecords walks the framed records in b, invoking fn with each valid
@@ -90,24 +94,11 @@ func scanRecords(b []byte, fn func(payload []byte, more bool) error) (consumed i
 	committed := 0 // end offset of the last complete batch
 	var pending [][]byte
 	for off < len(b) {
-		rem := b[off:]
-		if len(rem) < frameHeaderSize {
-			return int64(committed), records, "short frame header", nil
+		payload, more, why := parseFrame(b[off:])
+		if why != "" {
+			return int64(committed), records, why, nil
 		}
-		raw := binary.LittleEndian.Uint32(rem[0:4])
-		n := raw &^ batchBit
-		more := raw&batchBit != 0
-		if n > MaxRecord {
-			return int64(committed), records, "oversized record length", nil
-		}
-		if uint32(len(rem)-frameHeaderSize) < n {
-			return int64(committed), records, "short payload", nil
-		}
-		payload := rem[frameHeaderSize : frameHeaderSize+int(n)]
-		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(rem[4:8]) {
-			return int64(committed), records, "checksum mismatch", nil
-		}
-		off += frameHeaderSize + int(n)
+		off += frameHeaderSize + len(payload)
 		if more {
 			pending = append(pending, payload)
 			continue

@@ -114,7 +114,6 @@ func checkTailAgainstOracle(t *testing.T, l *Log, rng *rand.Rand, when string) {
 // head, and with budgets smaller than one record.
 func TestReadRecordsMatchesFullScan(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			dir := t.TempDir()

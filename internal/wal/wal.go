@@ -790,13 +790,15 @@ func (l *Log) readSpan(sp readSpan, out [][]byte) ([][]byte, error) {
 		return nil, fmt.Errorf("wal: read %s: %w", sp.name, err)
 	}
 	l.opt.Metrics.observeRead(len(buf))
+	// The index says where frames begin, so batch bits do not matter here;
+	// the checksums still do.
 	for len(buf) > 0 {
-		payload, rest, ok := splitFrame(buf)
-		if !ok {
-			return nil, fmt.Errorf("wal: %s: damaged record at byte %d", sp.name, sp.end-int64(len(buf)))
+		payload, _, reason := parseFrame(buf)
+		if reason != "" {
+			return nil, fmt.Errorf("wal: %s: damaged record at byte %d: %s", sp.name, sp.end-int64(len(buf)), reason)
 		}
 		out = append(out, payload)
-		buf = rest
+		buf = buf[frameSize(len(payload)):]
 	}
 	return out, nil
 }
