@@ -55,6 +55,27 @@ func (b *busyList) truncate(oldStart, oldEnd, newEnd period.Time) bool {
 	return true
 }
 
+// prevIdleBoundary returns the left edge of the idle gap immediately before
+// time t: the end of the last reservation ending at or before t, or genesis.
+// Reservations are disjoint, so ends are sorted like starts.
+func (b *busyList) prevIdleBoundary(genesis, t period.Time) period.Time {
+	i := sort.Search(len(b.iv), func(k int) bool { return b.iv[k].end > t })
+	if i == 0 {
+		return genesis
+	}
+	return b.iv[i-1].end
+}
+
+// nextBusyStart returns the start of the first reservation beginning at or
+// after t.
+func (b *busyList) nextBusyStart(t period.Time) (period.Time, bool) {
+	i := sort.Search(len(b.iv), func(k int) bool { return b.iv[k].start >= t })
+	if i == len(b.iv) {
+		return 0, false
+	}
+	return b.iv[i].start, true
+}
+
 // last returns the final reservation and whether any exists.
 func (b *busyList) last() (interval, bool) {
 	if len(b.iv) == 0 {

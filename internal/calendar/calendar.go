@@ -441,7 +441,7 @@ func (c *Calendar) Release(server int, start, end, newEnd period.Time) error {
 	// Determine the idle neighborhood around the freed gap before mutating.
 	freedStart := newEnd
 	if newEnd <= start {
-		freedStart = c.prevIdleBoundary(server, start)
+		freedStart = bl.prevIdleBoundary(c.genesis, start)
 	}
 	if !bl.truncate(start, end, newEnd) {
 		return fmt.Errorf("calendar: no reservation [%d,%d) on server %d", start, end, server)
@@ -456,7 +456,7 @@ func (c *Calendar) Release(server int, start, end, newEnd period.Time) error {
 		}
 	}
 
-	next, hasNext := c.nextBusyStart(server, end)
+	next, hasNext := bl.nextBusyStart(end)
 	if !hasNext {
 		// The freed time merges into the trailing idle period.
 		cur, _ := c.tails.startOf(server)
@@ -477,31 +477,6 @@ func (c *Calendar) Release(server int, start, end, newEnd period.Time) error {
 	// The following reservation starts exactly at end: freed gap stands alone.
 	c.insertFinite(period.Period{Server: server, Start: freedStart, End: end})
 	return nil
-}
-
-// prevIdleBoundary returns the left edge of the idle gap immediately before
-// time t on the server: the end of the previous reservation, or genesis.
-func (c *Calendar) prevIdleBoundary(server int, t period.Time) period.Time {
-	bl := &c.busy[server]
-	boundary := c.genesis
-	for i := len(bl.iv) - 1; i >= 0; i-- {
-		if bl.iv[i].end <= t {
-			boundary = bl.iv[i].end
-			break
-		}
-	}
-	return boundary
-}
-
-// nextBusyStart returns the start of the first reservation beginning at or
-// after t on the server.
-func (c *Calendar) nextBusyStart(server int, t period.Time) (period.Time, bool) {
-	for _, iv := range c.busy[server].iv {
-		if iv.start >= t {
-			return iv.start, true
-		}
-	}
-	return 0, false
 }
 
 // IdleAt reports whether the server has no commitment at instant t.

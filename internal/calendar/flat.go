@@ -439,7 +439,7 @@ func (f *Flat) Release(server int, start, end, newEnd period.Time) error {
 	// Determine the idle neighborhood around the freed gap before mutating.
 	freedStart := newEnd
 	if newEnd <= start {
-		freedStart = f.prevIdleBoundary(server, start)
+		freedStart = bl.prevIdleBoundary(f.genesis, start)
 	}
 	if !bl.truncate(start, end, newEnd) {
 		return fmt.Errorf("calendar: no reservation [%d,%d) on server %d", start, end, server)
@@ -454,7 +454,7 @@ func (f *Flat) Release(server int, start, end, newEnd period.Time) error {
 		}
 	}
 
-	next, hasNext := f.nextBusyStart(server, end)
+	next, hasNext := bl.nextBusyStart(end)
 	if !hasNext {
 		// The freed time merges into the trailing idle period.
 		cur, _ := f.tails.startOf(server)
@@ -475,31 +475,6 @@ func (f *Flat) Release(server int, start, end, newEnd period.Time) error {
 	// The following reservation starts exactly at end: freed gap stands alone.
 	f.insertFinite(period.Period{Server: server, Start: freedStart, End: end})
 	return nil
-}
-
-// prevIdleBoundary returns the left edge of the idle gap immediately before
-// time t on the server: the end of the previous reservation, or genesis.
-func (f *Flat) prevIdleBoundary(server int, t period.Time) period.Time {
-	bl := &f.busy[server]
-	boundary := f.genesis
-	for i := len(bl.iv) - 1; i >= 0; i-- {
-		if bl.iv[i].end <= t {
-			boundary = bl.iv[i].end
-			break
-		}
-	}
-	return boundary
-}
-
-// nextBusyStart returns the start of the first reservation beginning at or
-// after t on the server.
-func (f *Flat) nextBusyStart(server int, t period.Time) (period.Time, bool) {
-	for _, iv := range f.busy[server].iv {
-		if iv.start >= t {
-			return iv.start, true
-		}
-	}
-	return 0, false
 }
 
 // IdleAt reports whether the server has no commitment at instant t.
