@@ -61,10 +61,9 @@ type Calendar struct {
 	tm        *Timings       // optional wall-clock timings; see timings.go
 	dtm       *dtree.Timings // optional per-tree timings, shared by every slot
 	now       period.Time
-	genesis   period.Time // creation time: left boundary of the very first idle period
-	base      int64       // absolute index of the earliest active slot
-	slots     []*dtree.Tree
-	shared    []bool // per ring position: tree is referenced by a published View (see view.go)
+	genesis   period.Time        // creation time: left boundary of the very first idle period
+	base      int64              // absolute index of the earliest active slot
+	slots     *ring[*dtree.Tree] // copy-on-write; see ring.go
 	busy      []busyList
 	tails     *tailIndex
 }
@@ -79,12 +78,11 @@ func New(cfg Config, now period.Time) (*Calendar, error) {
 		now:     now,
 		genesis: now,
 		base:    int64(now) / int64(cfg.SlotSize),
-		slots:   make([]*dtree.Tree, cfg.Slots),
-		shared:  make([]bool, cfg.Slots),
 		busy:    make([]busyList, cfg.Servers),
 	}
-	for i := range c.slots {
-		c.slots[i] = dtree.New(&c.ops)
+	c.slots = newRing(cfg.Slots, c.cloneTree)
+	for i := 0; i < cfg.Slots; i++ {
+		c.slots.set(int64(i), dtree.New(&c.ops))
 	}
 	c.tails = newTailIndex(cfg.Servers, now, &c.ops)
 	return c, nil
@@ -166,30 +164,9 @@ func (c *Calendar) slotIndex(t period.Time) int64 {
 	return int64(t) / int64(c.cfg.SlotSize)
 }
 
-func (c *Calendar) slotAt(abs int64) *dtree.Tree {
-	return c.slots[abs%int64(c.cfg.Slots)]
-}
-
-// ownedSlot returns the slot tree at abs, cloning it first if a published
-// View still references it — the write half of the copy-on-write contract
-// (see view.go). Mutate slot trees only through this accessor.
-func (c *Calendar) ownedSlot(abs int64) *dtree.Tree {
-	i := abs % int64(c.cfg.Slots)
-	if c.shared[i] {
-		t := c.slots[i].Clone(&c.ops)
-		c.slots[i] = t
-		c.shared[i] = false
-	}
-	return c.slots[i]
-}
-
-// replaceSlot installs a fresh tree at the ring position of abs (slot
-// rotation); the previous tree may live on inside a published View.
-func (c *Calendar) replaceSlot(abs int64) {
-	i := abs % int64(c.cfg.Slots)
-	c.slots[i] = c.newTree()
-	c.shared[i] = false
-}
+// cloneTree is the ring's slot copier: a tree a published view references
+// is cloned (dtree.Clone) before its first post-publish mutation.
+func (c *Calendar) cloneTree(t *dtree.Tree) *dtree.Tree { return t.Clone(&c.ops) }
 
 // Advance moves the calendar's clock to now, discarding expired slot trees
 // and initializing trees for the slots that enter the horizon, exactly as
@@ -213,13 +190,13 @@ func (c *Calendar) Advance(now period.Time) {
 		// The entire window expired (a long idle jump): rebuild wholesale.
 		c.base = newBase
 		for abs := newBase; abs < newBase+q; abs++ {
-			c.replaceSlot(abs)
+			c.slots.set(abs, c.newTree())
 			c.fillSlot(abs)
 		}
 		return
 	}
 	for abs := c.base + q; abs < newBase+q; abs++ {
-		c.replaceSlot(abs) // drop the expired tree occupying this ring position
+		c.slots.set(abs, c.newTree()) // drop the expired tree occupying this ring position
 		c.fillSlot(abs)
 	}
 	c.base = newBase
@@ -230,7 +207,7 @@ func (c *Calendar) Advance(now period.Time) {
 func (c *Calendar) fillSlot(abs int64) {
 	w0 := period.Time(abs * int64(c.cfg.SlotSize))
 	w1 := period.Time((abs + 1) * int64(c.cfg.SlotSize))
-	tree := c.ownedSlot(abs)
+	tree := c.slots.owned(abs)
 	var buf []period.Period
 	for srv := range c.busy {
 		c.ops++ // one reservation-list probe per server per new slot
@@ -256,7 +233,7 @@ func (c *Calendar) insertFinite(p period.Period) {
 		hi = last
 	}
 	for abs := lo; abs <= hi; abs++ {
-		c.ownedSlot(abs).Insert(p)
+		c.slots.owned(abs).Insert(p)
 	}
 }
 
@@ -271,7 +248,7 @@ func (c *Calendar) removeFinite(p period.Period) error {
 		hi = last
 	}
 	for abs := lo; abs <= hi; abs++ {
-		if !c.ownedSlot(abs).Delete(p) {
+		if !c.slots.owned(abs).Delete(p) {
 			return fmt.Errorf("calendar: period %+v missing from slot %d", p, abs)
 		}
 	}
@@ -300,7 +277,7 @@ func (c *Calendar) FindFeasible(start, end period.Time, want int) ([]period.Peri
 	if q < c.base || q >= c.base+int64(c.cfg.Slots) || end > c.HorizonEnd() {
 		return nil, 0
 	}
-	tree := c.slotAt(q)
+	tree := c.slots.at(q)
 
 	tailCand := c.tails.candidates(start) // trailing periods are always feasible
 	needFromTree := want - tailCand
@@ -343,7 +320,7 @@ func (c *Calendar) RangeSearch(start, end period.Time) []period.Period {
 	if q < c.base || q >= c.base+int64(c.cfg.Slots) || end > c.HorizonEnd() {
 		return nil
 	}
-	feasible, _ := c.slotAt(q).Search(start, end, 0)
+	feasible, _ := c.slots.at(q).Search(start, end, 0)
 	return c.tails.collect(start, 0, feasible)
 }
 
@@ -530,7 +507,7 @@ func (c *Calendar) CheckConsistency() error {
 				want[g] = true
 			}
 		}
-		got := c.slotAt(abs).All()
+		got := c.slots.at(abs).All()
 		if len(got) != len(want) {
 			return fmt.Errorf("calendar: slot %d has %d periods, want %d", abs, len(got), len(want))
 		}

@@ -34,9 +34,8 @@ type Flat struct {
 	tm        *Timings // optional wall-clock timings; flat has no per-tree layer
 	now       period.Time
 	genesis   period.Time
-	base      int64             // absolute index of the earliest active slot
-	slots     [][]period.Period // ring of slot profiles, each sorted by flatLess
-	shared    []bool            // per ring position: slice is referenced by a published view
+	base      int64                  // absolute index of the earliest active slot
+	slots     *ring[[]period.Period] // copy-on-write ring of slot profiles, each sorted by flatLess; see ring.go
 	busy      []busyList
 	tails     *tailIndex
 }
@@ -65,8 +64,7 @@ func NewFlat(cfg Config, now period.Time) (*Flat, error) {
 		now:     now,
 		genesis: now,
 		base:    int64(now) / int64(cfg.SlotSize),
-		slots:   make([][]period.Period, cfg.Slots),
-		shared:  make([]bool, cfg.Slots),
+		slots:   newRing(cfg.Slots, cloneProfile),
 		busy:    make([]busyList, cfg.Servers),
 	}
 	f.tails = newTailIndex(cfg.Servers, now, &f.ops)
@@ -123,47 +121,31 @@ func (f *Flat) slotIndex(t period.Time) int64 {
 	return int64(t) / int64(f.cfg.SlotSize)
 }
 
-// ownedSlot returns the ring position of abs, copying the slot slice first
-// if a published view still references it — the write half of the
-// copy-on-write contract. Mutate slot profiles only through this accessor.
-func (f *Flat) ownedSlot(abs int64) int {
-	i := int(abs % int64(f.cfg.Slots))
-	if f.shared[i] {
-		f.slots[i] = append([]period.Period(nil), f.slots[i]...)
-		f.shared[i] = false
-	}
-	return i
-}
+// cloneProfile is the ring's slot copier: a profile a published view
+// references is copied before its first post-publish mutation.
+func cloneProfile(s []period.Period) []period.Period { return append([]period.Period(nil), s...) }
 
-// replaceSlot installs an empty profile at the ring position of abs (slot
-// rotation); the previous slice may live on inside a published view.
-func (f *Flat) replaceSlot(abs int64) {
-	i := abs % int64(f.cfg.Slots)
-	f.slots[i] = nil
-	f.shared[i] = false
-}
-
-// slotInsert adds a period to the slot profile at ring position i.
-func (f *Flat) slotInsert(i int, p period.Period) {
-	s := f.slots[i]
+// slotInsert adds a period to the profile of slot abs.
+func (f *Flat) slotInsert(abs int64, p period.Period) {
+	s := f.slots.owned(abs)
 	j := sort.Search(len(s), func(k int) bool { return !flatLess(s[k], p) })
 	f.ops += 8 // binary-search probes plus the shift, mirroring tailIndex.update
 	s = append(s, period.Period{})
 	copy(s[j+1:], s[j:])
 	s[j] = p
-	f.slots[i] = s
+	f.slots.set(abs, s)
 }
 
-// slotRemove removes an exact period from the slot profile at ring position
-// i, reporting whether it was present.
-func (f *Flat) slotRemove(i int, p period.Period) bool {
-	s := f.slots[i]
+// slotRemove removes an exact period from the profile of slot abs, reporting
+// whether it was present.
+func (f *Flat) slotRemove(abs int64, p period.Period) bool {
+	s := f.slots.owned(abs)
 	j := sort.Search(len(s), func(k int) bool { return !flatLess(s[k], p) })
 	f.ops += 8
 	if j >= len(s) || s[j] != p {
 		return false
 	}
-	f.slots[i] = append(s[:j], s[j+1:]...)
+	f.slots.set(abs, append(s[:j], s[j+1:]...))
 	return true
 }
 
@@ -225,33 +207,30 @@ func (f *Flat) Advance(now period.Time) {
 		// The entire window expired (a long idle jump): rebuild wholesale.
 		f.base = newBase
 		for abs := newBase; abs < newBase+q; abs++ {
-			f.replaceSlot(abs)
 			f.fillSlot(abs)
 		}
 		return
 	}
 	for abs := f.base + q; abs < newBase+q; abs++ {
-		f.replaceSlot(abs) // drop the expired profile occupying this ring position
-		f.fillSlot(abs)
+		f.fillSlot(abs) // replaces the expired profile occupying this ring position
 	}
 	f.base = newBase
 }
 
-// fillSlot populates a fresh slot profile with every finite idle period that
-// overlaps the slot, derived from the per-server reservation lists.
+// fillSlot installs a fresh profile for slot abs holding every finite idle
+// period that overlaps the slot, derived from the per-server reservation
+// lists; whatever occupied the ring position may live on inside a view.
 func (f *Flat) fillSlot(abs int64) {
 	w0 := period.Time(abs * int64(f.cfg.SlotSize))
 	w1 := period.Time((abs + 1) * int64(f.cfg.SlotSize))
-	i := f.ownedSlot(abs)
-	var buf []period.Period
+	var s []period.Period
 	for srv := range f.busy {
 		f.ops++ // one reservation-list probe per server per new slot
-		buf = f.busy[srv].gapsOverlapping(f.genesis, w0, w1, srv, buf[:0])
-		f.slots[i] = append(f.slots[i], buf...)
+		s = f.busy[srv].gapsOverlapping(f.genesis, w0, w1, srv, s)
 	}
-	s := f.slots[i]
 	sort.Slice(s, func(a, b int) bool { return flatLess(s[a], s[b]) })
 	f.ops += uint64(len(s))
+	f.slots.set(abs, s)
 }
 
 // insertFinite adds a finite idle period to the profile of every active slot
@@ -269,7 +248,7 @@ func (f *Flat) insertFinite(p period.Period) {
 		hi = last
 	}
 	for abs := lo; abs <= hi; abs++ {
-		f.slotInsert(f.ownedSlot(abs), p)
+		f.slotInsert(abs, p)
 	}
 }
 
@@ -284,7 +263,7 @@ func (f *Flat) removeFinite(p period.Period) error {
 		hi = last
 	}
 	for abs := lo; abs <= hi; abs++ {
-		if !f.slotRemove(f.ownedSlot(abs), p) {
+		if !f.slotRemove(abs, p) {
 			return fmt.Errorf("calendar: period %+v missing from slot %d", p, abs)
 		}
 	}
@@ -305,7 +284,7 @@ func (f *Flat) FindFeasible(start, end period.Time, want int) ([]period.Period, 
 	if q < f.base || q >= f.base+int64(f.cfg.Slots) || end > f.HorizonEnd() {
 		return nil, 0
 	}
-	slot := f.slots[q%int64(f.cfg.Slots)]
+	slot := f.slots.at(q)
 
 	tailCand := f.tails.candidates(start) // trailing periods are always feasible
 	needFromSlot := want - tailCand
@@ -347,7 +326,7 @@ func (f *Flat) RangeSearch(start, end period.Time) []period.Period {
 	if q < f.base || q >= f.base+int64(f.cfg.Slots) || end > f.HorizonEnd() {
 		return nil
 	}
-	feasible, _ := flatSearch(f.slots[q%int64(f.cfg.Slots)], start, end, 0, &f.ops)
+	feasible, _ := flatSearch(f.slots.at(q), start, end, 0, &f.ops)
 	return f.tails.collect(start, 0, feasible)
 }
 
@@ -528,7 +507,7 @@ func (f *Flat) CheckConsistency() error {
 				want[g] = true
 			}
 		}
-		got := f.slots[abs%q]
+		got := f.slots.at(abs)
 		if len(got) != len(want) {
 			return fmt.Errorf("calendar: slot %d has %d periods, want %d", abs, len(got), len(want))
 		}
@@ -544,68 +523,27 @@ func (f *Flat) CheckConsistency() error {
 	return nil
 }
 
-// flatView is the Flat backend's View: the slot profiles and the tail index
-// as of one instant. PublishView copies only the outer ring (slice headers);
-// the profile a view references is frozen because the backend copies a
-// shared profile before its first post-publish mutation. View reads pass a
-// nil ops counter, so they are entirely side-effect free.
-type flatView struct {
-	cfg        Config
-	now        period.Time
-	epoch      uint64
-	base       int64
-	horizonEnd period.Time
-	slots      [][]period.Period // same ring layout as Flat.slots
-	tails      *tailIndex        // cloned, with no operation counter
+// flatSearchRO is the flat backend's view search: a nil ops counter makes
+// the read entirely side-effect free.
+func flatSearchRO(slot []period.Period, start, end period.Time) []period.Period {
+	feasible, _ := flatSearch(slot, start, end, 0, nil)
+	return feasible
 }
 
 // PublishView captures the backend's current searchable state as an
-// immutable View and marks every live slot profile shared, so later
-// mutations copy before writing. Cost: O(Slots) slice headers plus
-// O(Servers) tail entries; no profile is copied until one is mutated.
+// immutable View — the same publication as Calendar.PublishView; no profile
+// is copied until one is mutated.
 func (f *Flat) PublishView() View {
-	v := &flatView{
+	return &view[[]period.Period]{
 		cfg:        f.cfg,
 		now:        f.now,
 		epoch:      f.mut,
 		base:       f.base,
 		horizonEnd: f.HorizonEnd(),
-		slots:      append([][]period.Period(nil), f.slots...),
+		slots:      f.slots.publish(),
 		tails:      f.tails.cloneRO(),
+		search:     flatSearchRO,
 	}
-	for i := range f.shared {
-		f.shared[i] = true
-	}
-	return v
-}
-
-// Now returns the instant the view was published at.
-func (v *flatView) Now() period.Time { return v.now }
-
-// Epoch returns the backend's mutation epoch at publication.
-func (v *flatView) Epoch() uint64 { return v.epoch }
-
-// HorizonEnd returns the right edge of the view's active window.
-func (v *flatView) HorizonEnd() period.Time { return v.horizonEnd }
-
-// RangeSearch returns every idle period feasible for [start, end) as of the
-// view's publication instant.
-func (v *flatView) RangeSearch(start, end period.Time) []period.Period {
-	if end <= start {
-		return nil
-	}
-	q := int64(start) / int64(v.cfg.SlotSize)
-	if q < v.base || q >= v.base+int64(v.cfg.Slots) || end > v.horizonEnd {
-		return nil
-	}
-	feasible, _ := flatSearch(v.slots[q%int64(v.cfg.Slots)], start, end, 0, nil)
-	return v.tails.collect(start, 0, feasible)
-}
-
-// Available reports how many servers could be co-allocated over [start, end)
-// as of the view's publication instant.
-func (v *flatView) Available(start, end period.Time) int {
-	return len(v.RangeSearch(start, end))
 }
 
 // SnapshotData captures the backend's persistent state in the
@@ -633,8 +571,7 @@ func FlatFromSnapshotData(s SnapshotData) (*Flat, error) {
 		now:     s.Now,
 		genesis: s.Genesis,
 		base:    int64(s.Now) / int64(s.Config.SlotSize),
-		slots:   make([][]period.Period, s.Config.Slots),
-		shared:  make([]bool, s.Config.Slots),
+		slots:   newRing(s.Config.Slots, cloneProfile),
 		busy:    busy,
 	}
 	f.tails = newTailIndex(s.Config.Servers, s.Genesis, &f.ops)

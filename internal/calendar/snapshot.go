@@ -110,10 +110,9 @@ func FromSnapshotData(s SnapshotData) (*Calendar, error) {
 		now:     s.Now,
 		genesis: s.Genesis,
 		base:    int64(s.Now) / int64(s.Config.SlotSize),
-		slots:   make([]*dtree.Tree, s.Config.Slots),
-		shared:  make([]bool, s.Config.Slots),
 		busy:    busy,
 	}
+	c.slots = newRing(s.Config.Slots, c.cloneTree)
 	// Rebuild the indexes: tails from the last reservation of each server,
 	// slot trees from the reservation-gap structure.
 	c.tails = newTailIndex(s.Config.Servers, s.Genesis, &c.ops)
@@ -124,7 +123,7 @@ func FromSnapshotData(s SnapshotData) (*Calendar, error) {
 	}
 	q := int64(s.Config.Slots)
 	for abs := c.base; abs < c.base+q; abs++ {
-		c.slots[abs%q] = dtree.New(&c.ops)
+		c.slots.set(abs, dtree.New(&c.ops))
 		c.fillSlot(abs)
 	}
 	// Index rebuilding above counts tree insertions into c.ops; restoring a

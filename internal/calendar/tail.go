@@ -27,6 +27,7 @@ type tailEntry struct {
 type tailIndex struct {
 	entries []tailEntry // sorted by (start, server)
 	ops     *uint64
+	ro      *tailIndex // the copy cloneRO last handed out; nil once update moved a tail
 }
 
 func newTailIndex(servers int, start period.Time, ops *uint64) *tailIndex {
@@ -67,6 +68,7 @@ func (t *tailIndex) update(server int, oldStart, newStart period.Time) {
 	if i < 0 {
 		panic("calendar: tail index out of sync")
 	}
+	t.ro = nil
 	t.entries = append(t.entries[:i], t.entries[i+1:]...)
 	e := tailEntry{start: newStart, server: server}
 	j := sort.Search(len(t.entries), func(k int) bool { return !t.entries[k].less(e) })
@@ -108,9 +110,13 @@ func (t *tailIndex) collect(s period.Time, max int, out []period.Period) []perio
 
 // cloneRO returns an immutable copy for a published view: the entries are
 // copied and the operation counter is dropped, so concurrent readers calling
-// candidates/collect perform no writes at all (visit is nil-safe).
+// candidates/collect perform no writes at all (visit is nil-safe). Views
+// published with no tail moved in between share one copy.
 func (t *tailIndex) cloneRO() *tailIndex {
-	return &tailIndex{entries: append([]tailEntry(nil), t.entries...)}
+	if t.ro == nil {
+		t.ro = &tailIndex{entries: append([]tailEntry(nil), t.entries...)}
+	}
+	return t.ro
 }
 
 // start returns the trailing idle start of the given server.

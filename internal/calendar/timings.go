@@ -23,8 +23,8 @@ type Timings struct {
 func (c *Calendar) SetTimings(cal *Timings, tree *dtree.Timings) {
 	c.tm = cal
 	c.dtm = tree
-	for _, t := range c.slots {
-		t.SetTimings(tree)
+	for i := 0; i < c.cfg.Slots; i++ {
+		c.slots.at(int64(i)).SetTimings(tree)
 	}
 }
 

@@ -5,62 +5,61 @@ import (
 	"coalloc/internal/period"
 )
 
-// treeView is the dtree backend's View: the slot trees and the tail index as
-// of one instant.
-//
-// Copy-on-write contract. PublishView copies the slot-tree pointer ring and
-// marks every referenced tree as shared; the calendar clones a shared tree
-// (dtree.Clone) before its first post-publish mutation, so the tree a view
-// references is frozen the moment the view exists. The tail index is copied
-// outright (it is a flat slice, cheaper to copy than to track). View
-// searches use the side-effect-free dtree read path (SearchRO), which
-// touches no operation counter, timing histogram, or node pool — a view
-// therefore contributes nothing to the Fig. 7(b) operation metric, exactly
-// like any other read replica.
-type treeView struct {
+// view is the View both backends publish: the clock, epoch and window of one
+// instant, the slot table the ring published at it (see ring.go for the
+// copy-on-write contract that keeps it frozen) and a read-only tail index.
+// search is the backend's side-effect-free slot search: it touches no
+// operation counter, timing histogram or node pool, so a view contributes
+// nothing to the Fig. 7(b) operation metric, exactly like any other read
+// replica, and any number of goroutines may search one concurrently.
+type view[T any] struct {
 	cfg        Config
 	now        period.Time
-	epoch      uint64 // Calendar.MutationEpoch at publication
+	epoch      uint64 // the backend's MutationEpoch at publication
 	base       int64
 	horizonEnd period.Time
-	slots      []*dtree.Tree // same ring layout as Calendar.slots (index = abs % Slots)
-	tails      *tailIndex    // cloned, with no operation counter
+	slots      ringView[T]
+	tails      *tailIndex // read-only, with no operation counter
+	search     func(slot T, start, end period.Time) []period.Period
+}
+
+// treeSearchRO is the dtree backend's view search.
+func treeSearchRO(t *dtree.Tree, start, end period.Time) []period.Period {
+	feasible, _ := t.SearchRO(start, end, 0)
+	return feasible
 }
 
 // PublishView captures the calendar's current searchable state as an
-// immutable View and marks every live slot tree shared, so later mutations
-// clone before writing. Cost: O(Slots) pointer copies plus O(Servers) tail
-// entries; no tree is cloned until one is actually mutated.
+// immutable View. Cost: the slot chunks written and the tail index if it
+// moved since the previous view (see ring.publish, tailIndex.cloneRO); no
+// tree is cloned until one is actually mutated.
 func (c *Calendar) PublishView() View {
-	v := &treeView{
+	return &view[*dtree.Tree]{
 		cfg:        c.cfg,
 		now:        c.now,
 		epoch:      c.mut,
 		base:       c.base,
 		horizonEnd: c.HorizonEnd(),
-		slots:      append([]*dtree.Tree(nil), c.slots...),
+		slots:      c.slots.publish(),
 		tails:      c.tails.cloneRO(),
+		search:     treeSearchRO,
 	}
-	for i := range c.shared {
-		c.shared[i] = true
-	}
-	return v
 }
 
 // Now returns the instant the view was published at.
-func (v *treeView) Now() period.Time { return v.now }
+func (v *view[T]) Now() period.Time { return v.now }
 
-// Epoch returns the calendar's mutation epoch at publication. Two views with
+// Epoch returns the backend's mutation epoch at publication. Two views with
 // equal epochs answer every availability question identically.
-func (v *treeView) Epoch() uint64 { return v.epoch }
+func (v *view[T]) Epoch() uint64 { return v.epoch }
 
 // HorizonEnd returns the right edge of the view's active window.
-func (v *treeView) HorizonEnd() period.Time { return v.horizonEnd }
+func (v *view[T]) HorizonEnd() period.Time { return v.horizonEnd }
 
 // RangeSearch returns every idle period feasible for [start, end) as of the
-// view's publication instant — the concurrent read-path twin of
-// Calendar.RangeSearch, byte-for-byte the same result set.
-func (v *treeView) RangeSearch(start, end period.Time) []period.Period {
+// view's publication instant — the concurrent read-path twin of the
+// backend's RangeSearch, byte-for-byte the same result set.
+func (v *view[T]) RangeSearch(start, end period.Time) []period.Period {
 	if end <= start {
 		return nil
 	}
@@ -68,12 +67,11 @@ func (v *treeView) RangeSearch(start, end period.Time) []period.Period {
 	if q < v.base || q >= v.base+int64(v.cfg.Slots) || end > v.horizonEnd {
 		return nil
 	}
-	feasible, _ := v.slots[q%int64(v.cfg.Slots)].SearchRO(start, end, 0)
-	return v.tails.collect(start, 0, feasible)
+	return v.tails.collect(start, 0, v.search(v.slots.at(q%int64(v.cfg.Slots)), start, end))
 }
 
 // Available reports how many servers could be co-allocated over [start, end)
 // as of the view's publication instant.
-func (v *treeView) Available(start, end period.Time) int {
+func (v *view[T]) Available(start, end period.Time) int {
 	return len(v.RangeSearch(start, end))
 }
