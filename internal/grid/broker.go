@@ -761,33 +761,32 @@ func (b *Broker) CoAllocate(now period.Time, req Request) (MultiAllocation, erro
 	return MultiAllocation{}, fmt.Errorf("%w (last: %v)", ErrNoCapacity, lastErr)
 }
 
-// fanOut runs f(i) for every site index through a bounded worker pool, so
-// one round's footprint stays fixed no matter how many sites the federation
-// has. f is responsible for recording its own result.
+// fanOut runs f(i) for every site index on at most ProbeWorkers goroutines,
+// the caller's among them, so one round's footprint stays fixed no matter
+// how many sites the federation has. Each goroutine claims the next unclaimed
+// index until none is left: with workers >= sites (every shipped config)
+// that is one index each, handed over without a channel, and a round spawns
+// one goroutine fewer than it has sites. f is responsible for recording its
+// own result.
 func (b *Broker) fanOut(f func(i int)) {
-	workers := b.cfg.ProbeWorkers
-	if workers < 1 {
-		workers = 1
+	n := len(b.sites)
+	workers := max(min(b.cfg.ProbeWorkers, n), 1)
+	var round struct {
+		next atomic.Int64
+		wg   sync.WaitGroup
 	}
-	if workers > len(b.sites) {
-		workers = len(b.sites)
+	work := func() {
+		defer round.wg.Done()
+		for i := int(round.next.Add(1)) - 1; i < n; i = int(round.next.Add(1)) - 1 {
+			f(i)
+		}
 	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				f(i)
-			}
-		}()
+	round.wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go work()
 	}
-	for i := range b.sites {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	work()
+	round.wg.Wait()
 }
 
 // probeAttr returns the prebuilt probe span attrs for site i, or nil on a

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"coalloc/internal/obs"
@@ -118,5 +119,46 @@ func TestProbeFanoutSurfacesUnreachableSites(t *testing.T) {
 	}
 	if got := reg.Counter("broker.probe.unreachable").Value(); got != 1 {
 		t.Fatalf("unreachable counter = %d, want 1", got)
+	}
+}
+
+// TestFanOutVisitsEverySiteOnceWithinItsBound: every site index is visited
+// exactly once, on no more goroutines than ProbeWorkers allows, whether the
+// bound is below, at or above the site count — and the caller's goroutine is
+// one of them, so a one-worker round spawns nothing.
+func TestFanOutVisitsEverySiteOnceWithinItsBound(t *testing.T) {
+	for _, workers := range []int{0, 1, 2, 5, 8} {
+		b := &Broker{cfg: BrokerConfig{ProbeWorkers: workers}, sites: make([]Conn, 5)}
+		var mu sync.Mutex
+		visits := make([]int, len(b.sites))
+		running, peak := 0, 0
+		gate := make(chan struct{})
+		go func() {
+			// Hold the first arrivals until every worker the bound allows
+			// could have started, so the peak is the bound, not a race.
+			for i := 0; i < max(min(workers, len(b.sites)), 1); i++ {
+				gate <- struct{}{}
+			}
+			close(gate)
+		}()
+		b.fanOut(func(i int) {
+			mu.Lock()
+			visits[i]++
+			running++
+			peak = max(peak, running)
+			mu.Unlock()
+			<-gate
+			mu.Lock()
+			running--
+			mu.Unlock()
+		})
+		for i, n := range visits {
+			if n != 1 {
+				t.Fatalf("workers=%d: site %d visited %d times", workers, i, n)
+			}
+		}
+		if bound := max(min(workers, len(b.sites)), 1); peak > bound {
+			t.Fatalf("workers=%d: %d legs ran at once, bound %d", workers, peak, bound)
+		}
 	}
 }
