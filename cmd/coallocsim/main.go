@@ -58,6 +58,7 @@ func main() {
 			Slots:    int(period.Duration(*horizonHours) * period.Hour / tau),
 			DeltaT:   period.Duration(*deltaMin) * period.Minute,
 			Policy:   core.PolicyByName(*policy, nil),
+			Backend:  "dtree", // the paper's structure: its op counts are what this prints
 		}
 		if cfg.Policy == nil {
 			fmt.Fprintf(os.Stderr, "coallocsim: unknown policy %q\n", *policy)

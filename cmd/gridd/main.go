@@ -5,9 +5,9 @@
 //	gridd -name site-a -listen 127.0.0.1:7001 -servers 64
 //
 // -backend selects the availability index the scheduler answers from: the
-// default 2-D tree ("dtree") or the flat sorted-slot backend ("flat"). Both
-// honor the same contract (DESIGN.md §15); snapshots and WALs record which
-// backend wrote them and restore onto the same one.
+// default flat sorted-slot backend ("flat") or the paper's 2-D tree
+// ("dtree"). Both honor the same contract (DESIGN.md §15); snapshots and
+// WALs record which backend wrote them and restore onto the same one.
 //
 // With -wal the site journals every state mutation to a write-ahead log
 // before acknowledging it, checkpoints periodically (and on shutdown), and

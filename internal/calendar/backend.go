@@ -102,9 +102,10 @@ type BackendFactory struct {
 	FromSnapshot func(s SnapshotData) (AvailabilityBackend, error)
 }
 
-// DefaultBackend is the backend used when none is named: the paper's 2-D
-// availability tree.
-const DefaultBackend = "dtree"
+// DefaultBackend is the backend used when none is named: the flat profiles,
+// which win or tie every regime BenchmarkBackendRegimes measures (DESIGN.md
+// §15). Code that reproduces the paper's operation counts names "dtree".
+const DefaultBackend = "flat"
 
 var backendRegistry = map[string]BackendFactory{
 	"dtree": {

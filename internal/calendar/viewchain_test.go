@@ -15,6 +15,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"coalloc/internal/period"
 )
@@ -329,4 +330,56 @@ func TestPublishUnchangedAllocatesOnlyTheView(t *testing.T) {
 			t.Fatalf("PublishView of an unchanged backend allocates %v times, want 1", n)
 		}
 	})
+}
+
+// BenchmarkPublishView times PublishView alone on the shipped shape (43
+// servers, 672 slots) after writes that dirtied no chunk, the chunk or two an
+// hour-long reservation spans, and every chunk (a reservation at the far end
+// of a trailing idle period, whose remainder is indexed in every slot before
+// it). The mutation between publishes is untimed; publish-ns is the mean.
+func BenchmarkPublishView(b *testing.B) {
+	cases := []struct {
+		name  string
+		start period.Time // of the hour reserved and cancelled between publishes; 0 for none
+	}{
+		{"unchanged", 0},
+		{"one-reservation", period.Time(3 * period.Hour)},
+		{"every-chunk", period.Time(660 * 15 * period.Minute)},
+	}
+	for _, tc := range cases {
+		for _, backend := range Backends() {
+			b.Run(tc.name+"/"+backend, func(b *testing.B) {
+				c, err := NewBackend(backend, Config{Servers: 43, SlotSize: 15 * period.Minute, Slots: 672}, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				// Some standing load, so slot values are not all empty.
+				for i := 0; i < 86; i++ {
+					s := period.Time(int64(1+i%40) * int64(period.Hour))
+					f, _ := c.FindFeasible(s, s.Add(2*period.Hour), 1)
+					if err := c.Allocate(f[0], s, s.Add(2*period.Hour)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				c.PublishView()
+				var spent time.Duration
+				for i := 0; i < b.N; i++ {
+					if tc.start != 0 {
+						end := tc.start.Add(period.Hour)
+						f, _ := c.FindFeasible(tc.start, end, 1)
+						if err := c.Allocate(f[0], tc.start, end); err != nil {
+							b.Fatal(err)
+						}
+						if err := c.Release(f[0].Server, tc.start, end, tc.start); err != nil {
+							b.Fatal(err)
+						}
+					}
+					t0 := time.Now()
+					c.PublishView()
+					spent += time.Since(t0)
+				}
+				b.ReportMetric(float64(spent)/float64(b.N), "publish-ns")
+			})
+		}
+	}
 }

@@ -18,7 +18,7 @@ type schedSnapshot struct {
 	DeltaT      period.Duration
 	MaxAttempts int
 	PolicyName  string
-	Backend     string // availability backend name; "" (old snapshots) = dtree
+	Backend     string // availability backend name; "" (snapshots older than the tag) = calendar.DefaultBackend
 	Stats       Stats
 	Calendar    calendar.SnapshotData
 }
@@ -56,7 +56,8 @@ func Restore(r io.Reader) (*Scheduler, error) {
 		return nil, fmt.Errorf("core: restore: unknown policy %q", hdr.PolicyName)
 	}
 	// Old snapshots predate backend selection and decode Backend as "",
-	// which BackendFromSnapshot maps to the dtree default.
+	// which BackendFromSnapshot maps to the serving default: the calendar
+	// state is ground truth only, so any backend rebuilds its index from it.
 	cal, err := calendar.BackendFromSnapshot(hdr.Backend, hdr.Calendar)
 	if err != nil {
 		return nil, err

@@ -85,6 +85,7 @@ func (r *Runner) AblationMultisite() *Report {
 				Servers:  m.Servers / 4,
 				SlotSize: 15 * period.Minute,
 				Slots:    672,
+				Backend:  "dtree",
 			}, 0)
 			if err != nil {
 				panic(err)

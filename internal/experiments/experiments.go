@@ -208,10 +208,11 @@ func (r *Runner) batchRun(m workload.Model, disc batch.Discipline) *sim.BatchRes
 // baseline returns the configured batch baseline discipline.
 func (r *Runner) baseline() batch.Discipline { return r.cfg.BatchDiscipline }
 
-// coreConfigFor mirrors sim.DefaultCoreConfig but lets ablations vary knobs.
+// coreConfigFor mirrors sim.DefaultCoreConfig — the paper's 2-D tree
+// included — but lets ablations vary knobs.
 func coreConfigFor(n int, slot period.Duration, horizon period.Duration, deltaT period.Duration) core.Config {
 	slots := int(horizon / slot)
-	return core.Config{Servers: n, SlotSize: slot, Slots: slots, DeltaT: deltaT}
+	return core.Config{Servers: n, SlotSize: slot, Slots: slots, DeltaT: deltaT, Backend: "dtree"}
 }
 
 // All runs every paper artifact in order and returns the reports.

@@ -226,6 +226,9 @@ func DefaultCoreConfig(n int) core.Config {
 		SlotSize: slot,
 		Slots:    slots,
 		DeltaT:   slot,
+		// The reproduction counts the paper's tree operations (Fig. 7b,
+		// Table 2), so it names the 2-D tree whatever the serving default is.
+		Backend: "dtree",
 		// MaxAttempts defaults to Slots/2 inside core.
 	}
 }
