@@ -777,7 +777,11 @@ func (b *Broker) fanOut(f func(i int)) {
 	}
 	work := func() {
 		defer round.wg.Done()
-		for i := int(round.next.Add(1)) - 1; i < n; i = int(round.next.Add(1)) - 1 {
+		for {
+			i := int(round.next.Add(1)) - 1
+			if i >= n {
+				return
+			}
 			f(i)
 		}
 	}

@@ -129,6 +129,7 @@ func TestProbeFanoutSurfacesUnreachableSites(t *testing.T) {
 func TestFanOutVisitsEverySiteOnceWithinItsBound(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 5, 8} {
 		b := &Broker{cfg: BrokerConfig{ProbeWorkers: workers}, sites: make([]Conn, 5)}
+		bound := max(min(workers, len(b.sites)), 1)
 		var mu sync.Mutex
 		visits := make([]int, len(b.sites))
 		running, peak := 0, 0
@@ -136,7 +137,7 @@ func TestFanOutVisitsEverySiteOnceWithinItsBound(t *testing.T) {
 		go func() {
 			// Hold the first arrivals until every worker the bound allows
 			// could have started, so the peak is the bound, not a race.
-			for i := 0; i < max(min(workers, len(b.sites)), 1); i++ {
+			for i := 0; i < bound; i++ {
 				gate <- struct{}{}
 			}
 			close(gate)
@@ -157,7 +158,7 @@ func TestFanOutVisitsEverySiteOnceWithinItsBound(t *testing.T) {
 				t.Fatalf("workers=%d: site %d visited %d times", workers, i, n)
 			}
 		}
-		if bound := max(min(workers, len(b.sites)), 1); peak > bound {
+		if peak > bound {
 			t.Fatalf("workers=%d: %d legs ran at once, bound %d", workers, peak, bound)
 		}
 	}
