@@ -158,9 +158,9 @@ func BenchmarkSiteWritersWAL(b *testing.B) {
 // shipped shape (43 servers, 672 slots) per backend: the decision moves a
 // hold between two maps and bumps a counter, the calendar and the clock stand
 // still, and what is left is the queue hand-off plus the view the batch
-// publishes. Holds are prepared and released with the timer stopped, 64 at a
-// time: every write walks the decided holds still inside their window, and a
-// long round would time that walk instead.
+// publishes. Holds are prepared and released with the timer stopped, 512 at a
+// time: with none of them due, no write walks the decided holds still inside
+// their window, so the round length does not show in the result.
 func BenchmarkSiteCommit(b *testing.B) {
 	for _, backend := range calendar.Backends() {
 		b.Run(backend, func(b *testing.B) {
@@ -168,7 +168,7 @@ func BenchmarkSiteCommit(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			const round = 64
+			const round = 512
 			ids := make([]string, round)
 			for i := range ids {
 				ids[i] = fmt.Sprintf("h-%d", i)
@@ -196,6 +196,43 @@ func BenchmarkSiteCommit(b *testing.B) {
 				}
 				b.StartTimer()
 			}
+		})
+	}
+}
+
+// BenchmarkRecoverSite replays the journal of 500 and of 4,000 grants (a
+// prepare and a commit each, the clock standing still so every decided hold
+// stays inside its window) onto a fresh site. ns/record must not grow with
+// the journal: the clock step walks the holds only when one is due.
+func BenchmarkRecoverSite(b *testing.B) {
+	fresh := func() (*Site, error) {
+		return NewSite("bench", core.Config{Servers: 43, SlotSize: 15 * period.Minute, Slots: 672}, 0)
+	}
+	for _, grants := range []int{500, 4000} {
+		b.Run(fmt.Sprintf("grants=%d", grants), func(b *testing.B) {
+			s, err := fresh()
+			if err != nil {
+				b.Fatal(err)
+			}
+			journal := &memWAL{}
+			s.AttachWAL(journal)
+			for i := 0; i < grants; i++ {
+				id := fmt.Sprintf("h-%d", i)
+				start := period.Time(int64(1+i%160) * int64(period.Hour))
+				if _, err := s.Prepare(0, id, start, start.Add(period.Hour), 1, 24*period.Hour); err != nil {
+					b.Fatal(err)
+				}
+				if err := s.Commit(0, id); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, n, err := RecoverSite(nil, journal.recs, fresh); err != nil || n != 2*grants {
+					b.Fatalf("replayed %d of %d records: %v", n, 2*grants, err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*2*grants), "ns/record")
 		})
 	}
 }

@@ -19,7 +19,7 @@ import (
 // co-allocation. With a write-ahead log attached (AttachWAL), the site
 // journals every state mutation as an Op record at the moment it applies;
 // recovery restores the latest checkpoint (a full Snapshot) and replays the
-// records after it (ReplayOp), reconstructing the exact pre-crash state.
+// records after it (ReplayBatch), reconstructing the exact pre-crash state.
 //
 // The contract is append-before-acknowledge: a mutation is applied in
 // memory, journaled, and only then acknowledged to the caller. If the
@@ -33,7 +33,7 @@ import (
 // The write path has three steps, and only the first holds the site lock:
 //
 //	apply   under s.mu the batch's execs run, each encoding the records of
-//	        what it changed into s.staged (stageOpLocked); the batch then
+//	        what it changed into s.staged (applyLocked); the batch then
 //	        captures its view and appends (records, view, writers) to the
 //	        flush list — still under s.mu, so list order is apply order.
 //	flush   outside s.mu one flusher at a time takes the WHOLE list and
@@ -133,7 +133,7 @@ type BatchWAL interface {
 // ErrNoWAL is returned by Checkpoint when the site has no log attached.
 var ErrNoWAL = errors.New("grid: no write-ahead log attached")
 
-// AttachWAL installs the site's journal. Call it after recovery (ReplayOp)
+// AttachWAL installs the site's journal. Call it after recovery (RecoverSite)
 // and before serving traffic; mutations from then on are journaled.
 func (s *Site) AttachWAL(w WAL) {
 	s.mu.Lock()
@@ -162,18 +162,6 @@ func (s *Site) walOKLocked() error {
 		return fmt.Errorf("grid %s: write-ahead log failed, restart to recover: %w", s.name, err)
 	}
 	return nil
-}
-
-// stageOpLocked encodes one applied mutation — stamping the post-operation
-// scheduler counters — and stages it for the batch's hand-off to the flush
-// stage, where append failures surface.
-func (s *Site) stageOpLocked(op Op) {
-	if s.wal == nil {
-		return
-	}
-	op.SchedStats = s.sched.Stats()
-	op.SchedOps = s.sched.Ops()
-	s.staged = append(s.staged, EncodeOp(op))
 }
 
 // flushItem is one applied batch awaiting durability: the records its execs
@@ -368,80 +356,28 @@ func (s *Site) Checkpoint() error {
 	return nil
 }
 
-// ReplayOp applies one journaled mutation during recovery, before AttachWAL.
-// It mirrors the live code path exactly — same calendar commitment, same
-// counter movements — then reinstates the recorded scheduler counters, so a
-// recovered site's snapshot is byte-identical to the pre-crash state the
-// journal describes. A record that does not apply cleanly means the journal
-// and baseline disagree: the error names the op so an operator can fsck.
-func (s *Site) ReplayOp(op Op) error {
+// ReplayBatch applies journal records, in order, through the transition
+// function the live path uses (siteState.apply) — recovery before AttachWAL,
+// a standby for each shipped batch — under one lock acquisition ending in
+// one published view. The scheduler counters each record carries are
+// reinstated as it applies, so the replayed site's snapshot is byte-identical
+// to the state the journal describes. It returns how many records applied;
+// the error names the first that did not: the journal and the state it is
+// replayed onto disagree, which no retry can fix.
+func (s *Site) ReplayBatch(records [][]byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	switch op.Kind {
-	case OpPrepare:
-		if op.HoldID == "" {
-			return fmt.Errorf("grid %s: replay prepare without hold id", s.name)
+	defer s.publishLocked()
+	for i, rec := range records {
+		op, err := DecodeOp(rec)
+		if err == nil {
+			err = s.apply(op, true)
 		}
-		if _, dup := s.holds[op.HoldID]; dup {
-			return fmt.Errorf("grid %s: replay prepare of duplicate hold %q", s.name, op.HoldID)
+		if err != nil && !errors.Is(err, errReleaseRefused) {
+			return i, fmt.Errorf("grid %s: replay record %d (%s %q): %w", s.name, i+1, op.Kind, op.HoldID, err)
 		}
-		s.sched.Advance(op.Now)
-		s.pruneCommittedLocked(op.Now)
-		for _, srv := range op.Alloc.Servers {
-			if _, err := s.sched.Claim(srv, op.Alloc.Start, op.Alloc.End); err != nil {
-				return fmt.Errorf("grid %s: replay prepare %q: %w", s.name, op.HoldID, err)
-			}
-		}
-		s.holds[op.HoldID] = Hold{ID: op.HoldID, Alloc: op.Alloc, Expires: op.Expires}
-		s.prepared++
-	case OpCommit:
-		s.sched.Advance(op.Now)
-		s.pruneCommittedLocked(op.Now)
-		h, ok := s.holds[op.HoldID]
-		if !ok {
-			return fmt.Errorf("grid %s: replay commit of unknown hold %q", s.name, op.HoldID)
-		}
-		delete(s.holds, op.HoldID)
-		if h.Alloc.End > op.Now {
-			s.committedHolds[op.HoldID] = h
-		}
-		s.committed++
-	case OpAbort:
-		s.sched.Advance(op.Now)
-		s.pruneCommittedLocked(op.Now)
-		if h, ok := s.holds[op.HoldID]; ok {
-			delete(s.holds, op.HoldID)
-			if err := s.sched.Release(h.Alloc, h.Alloc.Start); err == nil {
-				s.aborted++
-			}
-			break
-		}
-		h, ok := s.committedHolds[op.HoldID]
-		if !ok {
-			return fmt.Errorf("grid %s: replay abort of unknown hold %q", s.name, op.HoldID)
-		}
-		delete(s.committedHolds, op.HoldID)
-		if err := s.sched.Release(h.Alloc, op.Now); err == nil {
-			s.aborted++
-		}
-	case OpExpire:
-		s.sched.Advance(op.Now)
-		s.pruneCommittedLocked(op.Now)
-		h, ok := s.holds[op.HoldID]
-		if !ok {
-			return fmt.Errorf("grid %s: replay expire of unknown hold %q", s.name, op.HoldID)
-		}
-		delete(s.holds, op.HoldID)
-		if err := s.sched.Release(h.Alloc, h.Alloc.Start); err == nil {
-			s.expired++
-		}
-	default:
-		return fmt.Errorf("grid %s: replay of unknown op kind %d", s.name, op.Kind)
 	}
-	s.sched.RestoreStats(op.SchedStats)
-	s.sched.SetOps(op.SchedOps)
-	s.publishLocked()
-	return nil
+	return len(records), nil
 }
 
 // RecoverSite rebuilds a site from WAL recovery output: the latest
@@ -461,14 +397,9 @@ func RecoverSite(checkpoint []byte, records [][]byte, fresh func() (*Site, error
 	if err != nil {
 		return nil, 0, err
 	}
-	for i, rec := range records {
-		op, err := DecodeOp(rec)
-		if err != nil {
-			return nil, i, fmt.Errorf("grid: recover record %d: %w", i+1, err)
-		}
-		if err := s.ReplayOp(op); err != nil {
-			return nil, i, fmt.Errorf("grid: recover record %d: %w", i+1, err)
-		}
+	n, err := s.ReplayBatch(records)
+	if err != nil {
+		return nil, n, fmt.Errorf("grid: recover: %w", err)
 	}
-	return s, len(records), nil
+	return s, n, nil
 }

@@ -4,13 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"strings"
 
 	"coalloc/internal/obs"
 )
 
 // Replica roles. A site serves in one of two roles: primary (the default —
 // it takes broker 2PC traffic and journals every mutation) or standby (it
-// applies the primary's replicated journal via ReplayOp and refuses direct
+// applies the primary's replicated journal via ReplayBatch and refuses direct
 // mutations, so the two histories can never diverge). Promotion flips a
 // standby to primary under a fresh epoch salt, so every availability answer
 // the old primary handed out is retired the moment a broker sees the new
@@ -37,7 +38,7 @@ func IsFencedErr(err error) bool {
 	if errors.Is(err, ErrFenced) {
 		return true
 	}
-	return containsFold(err.Error(), "fenced")
+	return strings.Contains(strings.ToLower(err.Error()), "fenced")
 }
 
 // IsStandbyErr reports whether err is a standby-role rejection, across the
@@ -49,33 +50,7 @@ func IsStandbyErr(err error) bool {
 	if errors.Is(err, ErrStandby) {
 		return true
 	}
-	return containsFold(err.Error(), "standby replica refuses")
-}
-
-// containsFold is strings.Contains over ASCII-lowered s; error strings from
-// net/rpc keep their case, so this is belt and braces.
-func containsFold(s, sub string) bool {
-	if len(sub) == 0 || len(s) < len(sub) {
-		return false
-	}
-	lower := func(b byte) byte {
-		if 'A' <= b && b <= 'Z' {
-			return b + 'a' - 'A'
-		}
-		return b
-	}
-	for i := 0; i+len(sub) <= len(s); i++ {
-		j := 0
-		for ; j < len(sub); j++ {
-			if lower(s[i+j]) != sub[j] {
-				break
-			}
-		}
-		if j == len(sub) {
-			return true
-		}
-	}
-	return false
+	return strings.Contains(strings.ToLower(err.Error()), "standby replica refuses")
 }
 
 // SetStandby sets or clears the standby role. A standby answers probes from
@@ -159,6 +134,10 @@ func (s *Site) readsFrozen() bool {
 func (s *Site) LookupHold(id string) (pending, committed bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.lookupLocked(id)
+}
+
+func (s *Site) lookupLocked(id string) (pending, committed bool) {
 	_, pending = s.holds[id]
 	_, committed = s.committedHolds[id]
 	return pending, committed

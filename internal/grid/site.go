@@ -131,17 +131,10 @@ type siteView struct {
 // paper's online scheduler, extended with prepare/commit/abort holds. It is
 // safe for concurrent use; see the package comment for the read/write split.
 type Site struct {
-	mu    sync.Mutex
-	name  string
-	sched *core.Scheduler
-	holds map[string]Hold
-	// committedHolds remembers decided holds until their window ends, so a
-	// broker can compensate a partial phase-2 failure by aborting the sites
-	// that did commit (releasing their shares) — without it, Abort of a
-	// committed hold would be an unknown-hold no-op and the capacity would
-	// stay allocated for the full job duration.
-	committedHolds map[string]Hold
-	tracer         obs.Tracer // optional; see Instrument
+	mu        sync.Mutex
+	name      string
+	siteState            // guarded by mu; written by apply alone (transition.go)
+	tracer    obs.Tracer // optional; see Instrument
 
 	// recorder is the site's flight recorder; see SetRecorder. Requests
 	// arriving with trace context (TracedConn, wire trace fields) record
@@ -187,9 +180,6 @@ type Site struct {
 	// own locks and may call back into the site.
 	replStatus atomic.Pointer[func() ReplicationStatus]
 
-	// stats
-	prepared, committed, aborted, expired uint64
-
 	// read path: the last published epoch. Never nil after NewSite/RestoreSite.
 	view atomic.Pointer[siteView]
 
@@ -213,11 +203,9 @@ func NewSite(name string, cfg core.Config, now period.Time) (*Site, error) {
 		return nil, err
 	}
 	s := &Site{
-		name:           name,
-		sched:          sched,
-		holds:          make(map[string]Hold),
-		committedHolds: make(map[string]Hold),
-		epochSalt:      newEpochSalt(),
+		name:      name,
+		siteState: siteState{sched: sched, holds: make(map[string]Hold), committedHolds: make(map[string]Hold)},
+		epochSalt: newEpochSalt(),
 		// One shared cap==len attr slice for every span this site opens;
 		// Annotate copies on append, so sharing is safe and saves an
 		// allocation per request on the always-on tracing path.
@@ -468,39 +456,49 @@ func (s *Site) applyBatch(batch []*pendingWrite) (flusher bool) {
 	return flusher
 }
 
-// advanceLocked moves the site clock and lazily expires stale holds. Each
-// expiry is a state mutation and is journaled; once the journal has failed
-// the site freezes instead, so memory drifts no further from durable state.
-// Committed holds whose windows have closed are pruned — a pure, memoryless
-// function of now, so replay converges to the same map without journaling
-// the prunes (ReplayOp applies the identical rule at each record's Now).
+// advanceLocked moves the site clock and lazily expires stale holds: the
+// broker never decided, so the lease is released. Each expiry is a mutation,
+// applied and journaled like any other. Once the journal has failed the site
+// freezes instead, so memory drifts no further from durable state.
 func (s *Site) advanceLocked(now period.Time) {
 	if s.poisoned() != nil {
 		return
 	}
-	s.sched.Advance(now)
-	for id, h := range s.holds {
-		if h.Expires <= now {
-			// The broker never decided: release the lease.
-			if err := s.sched.Release(h.Alloc, h.Alloc.Start); err == nil {
-				s.expired++
-				s.event(obs.EventExpire, slog.String("hold", id), slog.Int64("expired", int64(h.Expires)))
-			}
-			delete(s.holds, id)
-			s.stageOpLocked(Op{Kind: OpExpire, Now: now, HoldID: id})
-		}
+	for _, h := range s.advance(now) {
+		_ = s.applyLocked(Op{Kind: OpExpire, Now: now, HoldID: h.ID}, slog.Int64("expired", int64(h.Expires)))
 	}
-	s.pruneCommittedLocked(now)
 }
 
-// pruneCommittedLocked drops committed holds whose windows have closed:
-// there is nothing left to compensate once the job's time has passed.
-func (s *Site) pruneCommittedLocked(now period.Time) {
-	for id, h := range s.committedHolds {
-		if h.Alloc.End <= now {
-			delete(s.committedHolds, id)
-		}
+// admitLocked is the head of every live mutation: the role check, the clock
+// step, the poison check. What follows decides — and may still refuse — then
+// hands the Op it produced to applyLocked.
+func (s *Site) admitLocked(now period.Time) error {
+	if err := s.roleOKLocked(); err != nil {
+		return err
 	}
+	s.advanceLocked(now)
+	return s.walOKLocked()
+}
+
+// applyLocked is the tail of every live mutation: apply the decided Op, stage
+// it for the journal — stamped with the post-operation scheduler counters;
+// append failures surface in the flush stage — and emit its trace event (the
+// obs.Event* names of the four mutations are the op kinds' names). An op whose
+// release the calendar refused is staged too: the hold is gone either way, and
+// replay takes the same path.
+func (s *Site) applyLocked(op Op, attrs ...slog.Attr) error {
+	err := s.apply(op, false)
+	if s.wal != nil && (err == nil || errors.Is(err, errReleaseRefused)) {
+		op.SchedStats, op.SchedOps = s.sched.Stats(), s.sched.Ops()
+		s.staged = append(s.staged, EncodeOp(op))
+	}
+	if err != nil {
+		return fmt.Errorf("grid %s: %w", s.name, err)
+	}
+	if s.tracer != nil {
+		s.tracer.Event(op.Kind.String(), append(attrs, slog.String("hold", op.HoldID))...)
+	}
+	return nil
 }
 
 // Probe reports how many servers the site could co-allocate over
@@ -657,17 +655,10 @@ func (s *Site) PrepareConflictTraced(tc obs.SpanContext, now period.Time, holdID
 	sp.Annotate(slog.String("hold", holdID), slog.Int("servers", servers))
 	var granted []int
 	err := s.submitWriteTraced(sp, func() error {
-		if err := s.roleOKLocked(); err != nil {
+		if err := s.admitLocked(now); err != nil {
 			return err
 		}
-		s.advanceLocked(now)
-		if err := s.walOKLocked(); err != nil {
-			return err
-		}
-		if _, dup := s.holds[holdID]; dup {
-			return fmt.Errorf("grid %s: hold %q already exists", s.name, holdID)
-		}
-		if _, dup := s.committedHolds[holdID]; dup {
+		if pending, decided := s.lookupLocked(holdID); pending || decided {
 			return fmt.Errorf("grid %s: hold %q already exists", s.name, holdID)
 		}
 		if start < now {
@@ -691,17 +682,10 @@ func (s *Site) PrepareConflictTraced(tc obs.SpanContext, now period.Time, holdID
 			}
 			return fmt.Errorf("grid %s: cannot prepare %d servers at [%d,%d): %w", s.name, servers, start, end, err)
 		}
-		hold := Hold{ID: holdID, Alloc: alloc, Expires: now.Add(lease)}
-		s.holds[holdID] = hold
-		s.prepared++
-		s.stageOpLocked(Op{Kind: OpPrepare, Now: now, HoldID: holdID, Alloc: alloc, Expires: hold.Expires})
-		s.event(obs.EventPrepare,
-			slog.String("hold", holdID),
-			slog.Int("servers", servers),
-			slog.Int64("start", int64(start)),
-			slog.Int64("expires", int64(now.Add(lease))))
 		granted = alloc.Servers
-		return nil
+		op := Op{Kind: OpPrepare, Now: now, HoldID: holdID, Alloc: alloc, Expires: now.Add(lease)}
+		return s.applyLocked(op,
+			slog.Int("servers", servers), slog.Int64("start", int64(start)), slog.Int64("expires", int64(op.Expires)))
 	})
 	sp.Fail(err)
 	sp.End()
@@ -735,25 +719,10 @@ func (s *Site) CommitTraced(tc obs.SpanContext, now period.Time, holdID string) 
 	sp := s.startSpan(tc, "site.commit")
 	sp.Annotate(slog.String("hold", holdID))
 	err := s.submitWriteTraced(sp, func() error {
-		if err := s.roleOKLocked(); err != nil {
+		if err := s.admitLocked(now); err != nil {
 			return err
 		}
-		s.advanceLocked(now)
-		if err := s.walOKLocked(); err != nil {
-			return err
-		}
-		h, ok := s.holds[holdID]
-		if !ok {
-			return fmt.Errorf("grid %s: commit of unknown or expired hold %q", s.name, holdID)
-		}
-		delete(s.holds, holdID)
-		if h.Alloc.End > now {
-			s.committedHolds[holdID] = h
-		}
-		s.committed++
-		s.stageOpLocked(Op{Kind: OpCommit, Now: now, HoldID: holdID})
-		s.event(obs.EventCommit, slog.String("hold", holdID))
-		return nil
+		return s.applyLocked(Op{Kind: OpCommit, Now: now, HoldID: holdID})
 	})
 	sp.Fail(err)
 	sp.End()
@@ -774,46 +743,14 @@ func (s *Site) AbortTraced(tc obs.SpanContext, now period.Time, holdID string) e
 	sp := s.startSpan(tc, "site.abort")
 	sp.Annotate(slog.String("hold", holdID))
 	err := s.submitWriteTraced(sp, func() error {
-		if err := s.roleOKLocked(); err != nil {
+		if err := s.admitLocked(now); err != nil {
 			return err
 		}
-		s.advanceLocked(now)
-		if err := s.walOKLocked(); err != nil {
-			return err
-		}
-		h, held := s.holds[holdID]
-		if !held {
-			ch, committed := s.committedHolds[holdID]
-			if !committed {
-				return nil
-			}
-			// Compensating abort: pruneCommittedLocked guarantees End > now
-			// here, so the release below is always legal.
-			delete(s.committedHolds, holdID)
-			releaseErr := s.sched.Release(ch.Alloc, now)
-			if releaseErr == nil {
-				s.aborted++
-			}
-			s.stageOpLocked(Op{Kind: OpAbort, Now: now, HoldID: holdID})
-			if releaseErr != nil {
-				return fmt.Errorf("grid %s: abort release: %v", s.name, releaseErr)
-			}
-			s.event(obs.EventAbort, slog.String("hold", holdID), slog.Bool("compensating", true))
+		pending, decided := s.lookupLocked(holdID)
+		if !pending && !decided {
 			return nil
 		}
-		delete(s.holds, holdID)
-		releaseErr := s.sched.Release(h.Alloc, h.Alloc.Start)
-		if releaseErr == nil {
-			s.aborted++
-		}
-		// The hold is gone either way, so the mutation is journaled either way;
-		// replay mirrors the same delete-then-try-release sequence.
-		s.stageOpLocked(Op{Kind: OpAbort, Now: now, HoldID: holdID})
-		if releaseErr != nil {
-			return fmt.Errorf("grid %s: abort release: %v", s.name, releaseErr)
-		}
-		s.event(obs.EventAbort, slog.String("hold", holdID))
-		return nil
+		return s.applyLocked(Op{Kind: OpAbort, Now: now, HoldID: holdID}, slog.Bool("compensating", decided))
 	})
 	sp.Fail(err)
 	sp.End()

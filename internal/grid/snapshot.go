@@ -80,13 +80,7 @@ func (s *Site) ResetFromSnapshot(r io.Reader) error {
 	if t.name != s.name {
 		return fmt.Errorf("grid %s: reset from snapshot of site %q", s.name, t.name)
 	}
-	s.sched = t.sched
-	s.holds = t.holds
-	s.committedHolds = t.committedHolds
-	s.prepared = t.prepared
-	s.committed = t.committed
-	s.aborted = t.aborted
-	s.expired = t.expired
+	s.siteState = t.siteState
 	s.epochSalt = t.epochSalt
 	s.staged = nil
 	s.publishLocked()
@@ -104,14 +98,17 @@ func RestoreSite(r io.Reader) (*Site, error) {
 		return nil, fmt.Errorf("grid: restore site %q: %w", snap.Name, err)
 	}
 	s := &Site{
-		name:           snap.Name,
-		sched:          sched,
-		holds:          make(map[string]Hold, len(snap.Holds)),
-		committedHolds: make(map[string]Hold, len(snap.Decided)),
-		prepared:       snap.Prepared,
-		committed:      snap.Committed,
-		aborted:        snap.Aborted,
-		expired:        snap.Expired,
+		name: snap.Name,
+		// due stays zero: the first write after a restore walks both maps.
+		siteState: siteState{
+			sched:          sched,
+			holds:          make(map[string]Hold, len(snap.Holds)),
+			committedHolds: make(map[string]Hold, len(snap.Decided)),
+			prepared:       snap.Prepared,
+			committed:      snap.Committed,
+			aborted:        snap.Aborted,
+			expired:        snap.Expired,
+		},
 		// A fresh salt, not a serialized one: the snapshot may be stale, so
 		// the restored incarnation must not answer under epochs the previous
 		// incarnation already handed to brokers.

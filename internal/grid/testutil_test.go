@@ -326,14 +326,8 @@ func buildShadow(t *testing.T, payloads [][]byte, fresh func() (*Site, error)) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range payloads {
-		op, err := DecodeOp(p)
-		if err != nil {
-			t.Fatalf("shadow: decode record %d: %v", i+1, err)
-		}
-		if err := s.ReplayOp(op); err != nil {
-			t.Fatalf("shadow: replay record %d (%s %q): %v", i+1, op.Kind, op.HoldID, err)
-		}
+	if n, err := s.ReplayBatch(payloads); err != nil {
+		t.Fatalf("shadow: after %d records: %v", n, err)
 	}
 	return s
 }

@@ -2,7 +2,8 @@
 // primary site streams its write-ahead log — the same CRC-framed records
 // internal/wal journals, in the same group-commit batches — to one or more
 // standby replicas, which append the records to their own logs and apply
-// them through grid.ReplayOp. Because replay is the exact recovery path, a
+// each batch through grid's ReplayBatch. Because replay is the exact recovery
+// path, and the transition function the primary applied them with, a
 // standby is at every acknowledged position byte-identical to what the
 // primary would recover to after a crash.
 //

@@ -11,6 +11,7 @@ import (
 
 	"coalloc/internal/core"
 	"coalloc/internal/grid"
+	"coalloc/internal/job"
 	"coalloc/internal/obs"
 	"coalloc/internal/period"
 	"coalloc/internal/wal"
@@ -484,6 +485,43 @@ func TestOutOfOrderBatchRejected(t *testing.T) {
 	_, err := sb.ApplyBatch(Batch{Site: testSite, Incarnation: 1, From: 10, Records: [][]byte{{1}}})
 	if err == nil || !strings.Contains(err.Error(), "out of order") {
 		t.Fatalf("gap batch accepted: %v", err)
+	}
+}
+
+// TestApplyBatchCountsOnlyAppliedRecords: when a record fails mid-batch the
+// ones before it were applied and published, and the standby's counters say
+// exactly that — not zero, not the whole batch.
+func TestApplyBatchCountsOnlyAppliedRecords(t *testing.T) {
+	reg := obs.NewRegistry()
+	sb, err := NewStandby(StandbyConfig{Dir: t.TempDir(), WAL: wal.Options{Sync: wal.SyncNone}, Fresh: freshSite, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sb.Close()
+	window := job.Allocation{Servers: []int{0}, Start: 0, End: period.Time(period.Hour)}
+	recs := [][]byte{
+		grid.EncodeOp(grid.Op{Kind: grid.OpPrepare, HoldID: "a", Alloc: window, Expires: 600}),
+		grid.EncodeOp(grid.Op{Kind: grid.OpCommit, HoldID: "a"}),
+		grid.EncodeOp(grid.Op{Kind: grid.OpCommit, HoldID: "never-prepared"}),
+		grid.EncodeOp(grid.Op{Kind: grid.OpAbort, HoldID: "a"}),
+	}
+	if _, err := sb.ApplyBatch(Batch{Site: testSite, Incarnation: 1, From: 1, Records: recs}); err == nil {
+		t.Fatal("batch with an inapplicable record acknowledged")
+	}
+	if _, committed := sb.Site().LookupHold("a"); !committed {
+		t.Fatal("records before the failure did not apply")
+	}
+	if p, c, _, _ := sb.Site().Stats(); p != 1 || c != 1 {
+		t.Fatalf("records before the failure not published: prepared %d committed %d", p, c)
+	}
+	if sb.applied != 2 {
+		t.Fatalf("applied = %d, want the 2 records before the failure", sb.applied)
+	}
+	if got := reg.Counter("replica.apply.records").Value(); got != 2 {
+		t.Fatalf("replica.apply.records = %d, want 2", got)
+	}
+	if got := reg.Counter("replica.apply.batches").Value(); got != 0 {
+		t.Fatalf("replica.apply.batches = %d, want 0: the batch did not apply", got)
 	}
 }
 

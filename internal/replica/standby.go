@@ -60,7 +60,7 @@ func newStandbyMetrics(reg *obs.Registry) *standbyMetrics {
 }
 
 // Standby is the replica side of the stream: it persists batches into its
-// own write-ahead log, applies them through grid.ReplayOp, and
+// own write-ahead log, applies them through grid's ReplayBatch, and
 // acknowledges only what is durable locally. Promotion turns it into a
 // primary under a fresh epoch salt and a bumped fencing incarnation.
 type Standby struct {
@@ -203,7 +203,8 @@ func (sb *Standby) Handshake(h Hello) (HelloReply, error) {
 }
 
 // ApplyBatch persists one stream batch into the local log, applies it
-// through the replay path, and acknowledges the new durable position.
+// through the replay path (one site lock, one view: readers see the state
+// before the batch or after it) and acknowledges the new durable position.
 // Persist-then-apply mirrors recovery exactly: a standby that crashes
 // between the two replays the batch at boot and converges to the same
 // state.
@@ -231,29 +232,22 @@ func (sb *Standby) ApplyBatch(b Batch) (uint64, error) {
 		defer sp.End()
 	}
 	if _, err := sb.log.AppendBatch(b.Records); err != nil {
-		if sp != nil {
-			sp.Fail(err)
-		}
+		sp.Fail(err)
 		return 0, fmt.Errorf("replica %s: persist batch: %w", sb.site.Name(), err)
 	}
-	for i, rec := range b.Records {
-		op, err := grid.DecodeOp(rec)
-		if err == nil {
-			err = sb.site.ReplayOp(op)
-		}
-		if err != nil {
-			// Persisted but not applicable: the histories disagree, which no
-			// retry can fix. Fail the stream loudly for an operator.
-			if sp != nil {
-				sp.Fail(err)
-			}
-			return 0, fmt.Errorf("replica %s: apply record %d (lsn %d): %w", sb.site.Name(), i, b.From+uint64(i), err)
-		}
+	n, err := sb.site.ReplayBatch(b.Records)
+	sb.applied += uint64(n)
+	if sb.m != nil {
+		sb.m.records.Add(uint64(n))
 	}
-	sb.applied += uint64(len(b.Records))
+	if err != nil {
+		// Persisted but not applicable: the histories disagree, which no
+		// retry can fix. Fail the stream loudly for an operator.
+		sp.Fail(err)
+		return 0, fmt.Errorf("replica %s: apply batch at lsn %d: %w", sb.site.Name(), b.From+uint64(n), err)
+	}
 	if sb.m != nil {
 		sb.m.batches.Inc()
-		sb.m.records.Add(uint64(len(b.Records)))
 	}
 	return sb.log.NextLSN() - 1, nil
 }
