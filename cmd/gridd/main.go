@@ -32,16 +32,12 @@
 // the primary: the primary dials each -replicas address at boot.
 //
 // Probe, range, and prepare replies carry the site's availability epoch so
-// caching brokers can reuse answers until the site mutates; -suppress-epochs
-// omits that metadata, byte-compatibly emulating a pre-epoch site binary
-// (brokers then fall back to uncached probing). The site also serves the
-// epoch watch long-poll (brokers subscribe once and hear every epoch bump
-// the moment it publishes) and the batched ladder probe; -suppress-watch
-// answers both exactly like a binary that predates them, so brokers degrade
-// to passive invalidation and per-window probes. A prepare refused for
-// capacity at an epoch newer than the one the caller probed is answered as a
-// typed conflict so multi-broker federations can retry the contended site in
-// place; -suppress-conflicts answers with the historical plain error instead.
+// caching brokers can reuse answers until the site mutates. The site also
+// serves the epoch watch long-poll (brokers subscribe once and hear every
+// epoch bump the moment it publishes) and the batched ladder probe. A
+// prepare refused for capacity at an epoch newer than the one the caller
+// probed is answered as a typed conflict so multi-broker federations can
+// retry the contended site in place.
 //
 // With -debug the daemon also serves observability endpoints over HTTP:
 // /metrics (Prometheus text; ?format=json for expvar-style), /healthz,
@@ -95,9 +91,6 @@ func main() {
 		walSyncEvery = flag.Duration("wal-sync-every", 100*time.Millisecond, "fsync cadence for -wal-sync=interval")
 		ckptEvery    = flag.Duration("checkpoint-every", 5*time.Minute, "auto-checkpoint cadence with -wal (0 disables)")
 		idleTimeout  = flag.Duration("idle-timeout", 0, "drop client connections idle longer than this (0 disables; reclaims sockets from half-dead brokers)")
-		noEpochs     = flag.Bool("suppress-epochs", false, "omit epoch metadata from replies, emulating a pre-epoch site binary (callers' availability caches stay cold)")
-		noWatch      = flag.Bool("suppress-watch", false, "answer the epoch watch and batched probe like a binary that predates them (brokers degrade to passive invalidation and per-window probes)")
-		noConflict   = flag.Bool("suppress-conflicts", false, "answer conflicted prepares with the historical plain error instead of the typed conflict (brokers fall back to the full Δt ladder)")
 		standby      = flag.Bool("standby", false, "boot as a standby replica: serve reads and the replication stream, refuse 2PC mutations until promoted (requires -wal)")
 		replicas     = flag.String("replicas", "", "comma-separated standby replication addresses to stream the WAL to (requires -wal)")
 		ackMode      = flag.String("ack-mode", "async", "replication acknowledgment mode: async or semisync")
@@ -189,15 +182,6 @@ func main() {
 		}
 	}
 	srv.IdleTimeout = *idleTimeout
-	if *noEpochs {
-		srv.SuppressEpochs()
-	}
-	if *noWatch {
-		srv.SuppressWatch()
-	}
-	if *noConflict {
-		srv.SuppressConflicts()
-	}
 	if reg != nil {
 		site.Instrument(reg, tracer)
 		srv.Instrument(reg)

@@ -9,27 +9,19 @@ import (
 	"coalloc/internal/period"
 )
 
-// TestTryWindowZeroCommitRetriesStillCommits pins the phase-2 retry clamp: a
-// zero-value CommitRetries reaching tryWindow directly (a Broker built as a
-// struct literal, bypassing applyDefaults) must still deliver the commit
-// decision once, not skip phase 2 and strand every prepared hold until its
-// lease expires.
+// TestTryWindowZeroCommitRetriesStillCommits: a zero-value CommitRetries must
+// still deliver the commit decision once, not skip phase 2 and strand every
+// prepared hold until its lease expires. applyDefaults is the one clamp;
+// TestBrokerConfigClampsNegativeCommitRetries covers the negatives.
 func TestTryWindowZeroCommitRetriesStillCommits(t *testing.T) {
 	s := mustSite(t, "a", 4)
-	b := &Broker{
-		cfg: BrokerConfig{
-			Name:        "raw",
-			Strategy:    Greedy{},
-			Lease:       5 * period.Minute,
-			DeltaT:      15 * period.Minute,
-			MaxAttempts: 1,
-			// CommitRetries and ProbeWorkers deliberately zero.
-		},
-		sites: []Conn{LocalConn{Site: s}},
-	}
-	alloc, err := b.tryWindow(nil, 0, 0, period.Time(period.Hour), 2, 1)
+	b, err := NewBroker(BrokerConfig{Name: "raw", MaxAttempts: 1, CommitRetries: 0}, LocalConn{Site: s})
 	if err != nil {
-		t.Fatalf("tryWindow with zero CommitRetries: %v", err)
+		t.Fatal(err)
+	}
+	alloc, err := b.CoAllocate(0, Request{ID: 1, Start: 0, Duration: period.Hour, Servers: 2})
+	if err != nil {
+		t.Fatalf("CoAllocate with zero CommitRetries: %v", err)
 	}
 	if alloc.TotalServers() != 2 {
 		t.Fatalf("granted %d servers, want 2", alloc.TotalServers())

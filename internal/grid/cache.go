@@ -2,7 +2,6 @@ package grid
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"coalloc/internal/period"
 )
@@ -35,9 +34,9 @@ import (
 // round trip (any miss, including every clock-advancing probe), exactly the
 // staleness window the paper's periodic-probe brokers already live with.
 type probeCache struct {
-	bucket  int64 // window quantization, in seconds (τ by default)
-	maxPer  int   // per-site entry bound
-	metrics *brokerMetrics
+	bucket int64 // window quantization, in seconds (τ by default)
+	maxPer int   // per-site entry bound
+	m      *brokerMetrics
 
 	mu      sync.Mutex
 	sites   map[string]*siteCache
@@ -50,9 +49,6 @@ type probeCache struct {
 	// resurrect exactly the answer the invalidation retired. Kept outside
 	// siteCache so a drop lands even before the site's first reply.
 	gens map[string]uint64
-
-	hits, misses, stale, coalesced, invalidations, evictions atomic.Uint64
-	reordered, watchEvents, watchGaps, batchProbes           atomic.Uint64
 }
 
 // supersededRing bounds how many retired epochs a site remembers for the
@@ -116,13 +112,19 @@ type entryKey struct {
 	kind       uint8
 }
 
-// cacheEntry is one cached answer: the exact window it answers, the site
-// clock it is valid through, and the payload for its kind.
+// reply is a site's answer to a cached read: the probe result, or for a
+// range search the feasible periods with probe carrying only the epoch and
+// site clock they were computed under.
+type reply struct {
+	probe    ProbeResult
+	feasible []period.Period // kindRange only; treated as immutable
+}
+
+// cacheEntry is one cached answer and the exact window it answers; it is
+// valid through the site clock its reply carries.
 type cacheEntry struct {
 	start, end period.Time
-	siteNow    period.Time
-	probe      ProbeResult
-	feasible   []period.Period // kindRange only; treated as immutable
+	reply
 }
 
 // flightKey identifies one coalescable in-flight request.
@@ -139,18 +141,17 @@ type flightKey struct {
 // invalidation generation at join time; store refuses the leader's reply if
 // it moved while the RPC was in flight.
 type flight struct {
-	done     chan struct{}
-	gen      uint64
-	probe    ProbeResult
-	feasible []period.Period
-	err      error
+	done chan struct{}
+	gen  uint64
+	reply
+	err error
 }
 
 func newProbeCache(bucket period.Duration, maxPer int, m *brokerMetrics) *probeCache {
 	return &probeCache{
 		bucket:  int64(bucket),
 		maxPer:  maxPer,
-		metrics: m,
+		m:       m,
 		sites:   make(map[string]*siteCache),
 		flights: make(map[flightKey]*flight),
 		gens:    make(map[string]uint64),
@@ -167,25 +168,14 @@ func (pc *probeCache) key(start, end period.Time, kind uint8) entryKey {
 
 // lookup returns the cached answer for the exact window, if one is valid
 // for a request issued at now. It accounts the hit or miss.
-func (pc *probeCache) lookup(site string, kind uint8, now, start, end period.Time) (*cacheEntry, bool) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	sc := pc.sites[site]
-	if sc != nil {
-		if e := sc.entries[pc.key(start, end, kind)]; e != nil &&
-			e.start == start && e.end == end && now <= e.siteNow {
-			pc.hits.Add(1)
-			if pc.metrics != nil {
-				pc.metrics.cacheHits.Inc()
-			}
-			return e, true
-		}
+func (pc *probeCache) lookup(site string, kind uint8, now, start, end period.Time) *cacheEntry {
+	e := pc.peek(site, kind, now, start, end)
+	if e == nil {
+		pc.m.inc(cCacheMisses)
+	} else {
+		pc.m.inc(cCacheHits)
 	}
-	pc.misses.Add(1)
-	if pc.metrics != nil {
-		pc.metrics.cacheMisses.Inc()
-	}
-	return nil, false
+	return e
 }
 
 // sameIncarnation reports whether epoch belongs to the incarnation salt
@@ -220,10 +210,7 @@ func (pc *probeCache) observe(site string, epoch uint64) int {
 		return 0
 	}
 	if pc.stalerLocked(sc, epoch) {
-		pc.reordered.Add(1)
-		if pc.metrics != nil {
-			pc.metrics.cacheReordered.Inc()
-		}
+		pc.m.inc(cCacheReordered)
 		return 0
 	}
 	return pc.adoptLocked(sc, epoch)
@@ -252,10 +239,7 @@ func (pc *probeCache) adoptLocked(sc *siteCache, epoch uint64) int {
 	dropped := len(sc.entries)
 	if dropped > 0 {
 		sc.entries = make(map[entryKey]*cacheEntry)
-		pc.stale.Add(uint64(dropped))
-		if pc.metrics != nil {
-			pc.metrics.cacheStale.Add(uint64(dropped))
-		}
+		pc.m.add(cCacheStale, uint64(dropped))
 	}
 	return dropped
 }
@@ -270,10 +254,7 @@ func (pc *probeCache) observeEvent(site string, epoch, salt uint64) int {
 	if epoch == 0 {
 		return 0
 	}
-	pc.watchEvents.Add(1)
-	if pc.metrics != nil {
-		pc.metrics.cacheWatchEvents.Inc()
-	}
+	pc.m.inc(cCacheWatchEvents)
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	sc := pc.sites[site]
@@ -307,7 +288,8 @@ func (pc *probeCache) observeEvent(site string, epoch, salt uint64) int {
 // drop (own 2PC, watch gap, failover re-target) landed while the RPC was in
 // flight, the reply may predate the mutation the drop retired and is
 // discarded too — same epoch or not.
-func (pc *probeCache) store(site string, kind uint8, start, end period.Time, epoch uint64, siteNow period.Time, probe ProbeResult, feasible []period.Period, gen uint64) {
+func (pc *probeCache) store(site string, kind uint8, start, end period.Time, r reply, gen uint64) {
+	epoch := r.probe.Epoch
 	if epoch == 0 {
 		return // pre-epoch site: no invalidation signal, never cache
 	}
@@ -323,12 +305,9 @@ func (pc *probeCache) store(site string, kind uint8, start, end period.Time, epo
 			delete(sc.entries, victim)
 			break
 		}
-		pc.evictions.Add(1)
-		if pc.metrics != nil {
-			pc.metrics.cacheEvictions.Inc()
-		}
+		pc.m.inc(cCacheEvictions)
 	}
-	sc.entries[k] = &cacheEntry{start: start, end: end, siteNow: siteNow, probe: probe, feasible: feasible}
+	sc.entries[k] = &cacheEntry{start: start, end: end, reply: r}
 }
 
 // invalidate drops every entry of one site — the broker just sent it 2PC
@@ -345,10 +324,7 @@ func (pc *probeCache) invalidate(site string) bool {
 		return false
 	}
 	sc.entries = make(map[entryKey]*cacheEntry)
-	pc.invalidations.Add(1)
-	if pc.metrics != nil {
-		pc.metrics.cacheInvalidations.Inc()
-	}
+	pc.m.inc(cCacheInvalidations)
 	return true
 }
 
@@ -358,10 +334,7 @@ func (pc *probeCache) invalidate(site string) bool {
 // authoritative for the current incarnation, so reply-driven epoch adoption
 // takes back over until the stream re-establishes.
 func (pc *probeCache) gap(site string) bool {
-	pc.watchGaps.Add(1)
-	if pc.metrics != nil {
-		pc.metrics.cacheWatchGaps.Inc()
-	}
+	pc.m.inc(cCacheWatchGaps)
 	pc.mu.Lock()
 	if sc := pc.sites[site]; sc != nil {
 		sc.salt = 0
@@ -378,18 +351,20 @@ func (pc *probeCache) genOf(site string) uint64 {
 	return pc.gens[site]
 }
 
-// peek reports whether a valid entry exists for the exact window, without
-// touching the hit/miss accounting — the ladder prefetch uses it to decide
-// which rungs still need fetching.
-func (pc *probeCache) peek(site string, kind uint8, now, start, end period.Time) bool {
+// peek is lookup without the hit/miss accounting (nil when no valid entry
+// exists) — the ladder prefetch uses it to decide which rungs still need
+// fetching.
+func (pc *probeCache) peek(site string, kind uint8, now, start, end period.Time) *cacheEntry {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	sc := pc.sites[site]
 	if sc == nil {
-		return false
+		return nil
 	}
-	e := sc.entries[pc.key(start, end, kind)]
-	return e != nil && e.start == start && e.end == end && now <= e.siteNow
+	if e := sc.entries[pc.key(start, end, kind)]; e != nil && e.start == start && e.end == end && now <= e.probe.SiteNow {
+		return e
+	}
+	return nil
 }
 
 // join enters the single-flight group for key. The first caller becomes the
@@ -399,10 +374,7 @@ func (pc *probeCache) join(key flightKey) (*flight, bool) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	if fl := pc.flights[key]; fl != nil {
-		pc.coalesced.Add(1)
-		if pc.metrics != nil {
-			pc.metrics.cacheCoalesced.Inc()
-		}
+		pc.m.inc(cCacheCoalesced)
 		return fl, false
 	}
 	fl := &flight{done: make(chan struct{}), gen: pc.gens[key.site]}
@@ -419,39 +391,12 @@ func (pc *probeCache) finish(key flightKey, fl *flight) {
 	close(fl.done)
 }
 
-// CacheStats is a snapshot of the broker's availability-cache counters.
-// All zeros when the cache is disabled.
-type CacheStats struct {
-	Hits          uint64 // probes answered without a round trip
-	Misses        uint64 // probes that went to the site
-	Stale         uint64 // entries retired because the site reported a new epoch
-	Coalesced     uint64 // probes that piggybacked on another caller's flight
-	Invalidations uint64 // site-wide drops triggered by this broker's own 2PC traffic
-	Evictions     uint64 // entries displaced by the per-site capacity bound
-	Reordered     uint64 // delayed replies from superseded epochs, dropped without adoption
-	WatchEvents   uint64 // epoch bumps delivered over the watch stream
-	WatchGaps     uint64 // stream gaps (reconnects, errors) that forced a conservative drop
-	BatchProbes   uint64 // batched ladder-probe RPCs issued (each replaces up to a whole ladder of probes)
-	Entries       int    // entries currently cached across all sites
-}
-
-func (pc *probeCache) statsSnapshot() CacheStats {
-	s := CacheStats{
-		Hits:          pc.hits.Load(),
-		Misses:        pc.misses.Load(),
-		Stale:         pc.stale.Load(),
-		Coalesced:     pc.coalesced.Load(),
-		Invalidations: pc.invalidations.Load(),
-		Evictions:     pc.evictions.Load(),
-		Reordered:     pc.reordered.Load(),
-		WatchEvents:   pc.watchEvents.Load(),
-		WatchGaps:     pc.watchGaps.Load(),
-		BatchProbes:   pc.batchProbes.Load(),
-	}
+// entries counts the entries currently cached across all sites.
+func (pc *probeCache) entries() (n int) {
 	pc.mu.Lock()
+	defer pc.mu.Unlock()
 	for _, sc := range pc.sites {
-		s.Entries += len(sc.entries)
+		n += len(sc.entries)
 	}
-	pc.mu.Unlock()
-	return s
+	return n
 }

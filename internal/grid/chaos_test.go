@@ -11,12 +11,14 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
 	"coalloc/internal/core"
 	"coalloc/internal/faultnet"
 	"coalloc/internal/grid"
+	"coalloc/internal/obs"
 	"coalloc/internal/period"
 	"coalloc/internal/wire"
 )
@@ -399,5 +401,85 @@ func TestChaosRecoveredSiteServesTraffic(t *testing.T) {
 			t.Fatalf("site b never rejoined after heal: %v (health %+v)", err, br.Health())
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestChaosStatsEqualRegistry: the broker has one accounting path, so after
+// a run with a granted request, one that loses a site between its (cached)
+// probe and its prepare, an outage and a recovery, every BrokerStats and
+// CacheStats field — enumerated by reflection — reads exactly what the
+// registry counter named for it reads.
+func TestChaosStatsEqualRegistry(t *testing.T) {
+	cfg := chaosClientConfig()
+	members := []*chaosSite{
+		startChaosSite(t, "a", 4, 31, cfg),
+		startChaosSite(t, "b", 4, 32, cfg),
+	}
+	reg := obs.NewRegistry()
+	br, err := grid.NewBroker(grid.BrokerConfig{
+		Strategy:         grid.LoadBalance{},
+		MaxAttempts:      1,
+		RetryBackoff:     time.Millisecond,
+		BreakerThreshold: -1,
+		ProbeCache:       true,
+		Registry:         reg,
+	}, members[0].client, members[1].client)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := grid.Request{Start: 0, Duration: period.Hour, Servers: 6}
+	later := grid.Request{Start: period.Time(2 * period.Hour), Duration: period.Hour, Servers: 6}
+	if _, err := br.CoAllocate(0, window); err != nil {
+		t.Fatalf("healthy co-allocation: %v", err)
+	}
+	// Cache both sites' answers for the later window, then cut b off: the
+	// round plans over the cached answers, leases a, fails at b, aborts a.
+	br.ProbeAll(0, later.Start, later.Start.Add(later.Duration))
+	members[1].proxy.SetMode(faultnet.Partition)
+	if _, err := br.CoAllocate(0, later); err == nil {
+		t.Fatal("co-allocation spanning a partitioned site succeeded")
+	}
+	members[0].proxy.SetMode(faultnet.Partition)
+	if _, err := br.CoAllocate(0, later); !errors.Is(err, grid.ErrAllSitesUnreachable) {
+		t.Fatalf("co-allocation with every site cut off: %v", err)
+	}
+	members[0].proxy.Heal()
+	members[1].proxy.Heal()
+	if _, err := br.CoAllocate(0, later); err != nil {
+		t.Fatalf("co-allocation after the heal: %v", err)
+	}
+
+	moved := 0
+	for _, stats := range []any{br.Stats(), br.CacheStats()} {
+		v := reflect.ValueOf(stats)
+		for i := 0; i < v.NumField(); i++ {
+			field := v.Type().Field(i).Name
+			if field == "Entries" {
+				continue // a gauge of live entries, not a counter
+			}
+			name := grid.StatCounterName(field)
+			if name == "" {
+				t.Errorf("%s.%s has no registry counter", v.Type().Name(), field)
+				continue
+			}
+			var got uint64
+			if f := v.Field(i); f.CanUint() {
+				got = f.Uint()
+			} else {
+				got = uint64(f.Int())
+			}
+			if want := reg.Counter(name).Value(); got != want {
+				t.Errorf("%s.%s = %d, %s = %d", v.Type().Name(), field, got, name, want)
+			}
+			if got > 0 {
+				moved++
+			}
+		}
+	}
+	if st := br.Stats(); st.Requests != 4 || st.Granted != 2 || st.Rejected != 1 || st.Unreachable != 1 || st.Aborts != 1 {
+		t.Errorf("stats %+v; want 4 requests: 2 granted, 1 rejected with one abort, 1 unreachable", st)
+	}
+	if moved < 8 {
+		t.Errorf("only %d fields moved: the run no longer exercises the accounting", moved)
 	}
 }

@@ -101,23 +101,18 @@ func connProbe(c Conn, tc obs.SpanContext, now, start, end period.Time) (ProbeRe
 	return c.Probe(now, start, end)
 }
 
-// connPrepare is connProbe's twin for phase 1.
-func connPrepare(c Conn, tc obs.SpanContext, now period.Time, holdID string, start, end period.Time, servers int, lease period.Duration) ([]int, error) {
+// connPrepare is connProbe's twin for phase 1, routed through the
+// conflict-aware path when the connection supports it and the caller
+// actually probed (probedEpoch != 0); otherwise conflicts surface as plain
+// errors.
+func connPrepare(c Conn, tc obs.SpanContext, now period.Time, holdID string, start, end period.Time, servers int, lease period.Duration, probedEpoch uint64) ([]int, error) {
+	if cc, ok := c.(ConflictPrepareConn); ok && probedEpoch != 0 {
+		return cc.PrepareConflict(tc, now, holdID, start, end, servers, lease, probedEpoch)
+	}
 	if t, ok := c.(TracedConn); ok && tc.Valid() {
 		return t.PrepareTraced(tc, now, holdID, start, end, servers, lease)
 	}
 	return c.Prepare(now, holdID, start, end, servers, lease)
-}
-
-// connPrepareEpoch routes a prepare through the conflict-aware path when the
-// connection supports it and the caller actually probed (probedEpoch != 0);
-// otherwise it degrades to connPrepare and conflicts surface as plain
-// errors.
-func connPrepareEpoch(c Conn, tc obs.SpanContext, now period.Time, holdID string, start, end period.Time, servers int, lease period.Duration, probedEpoch uint64) ([]int, error) {
-	if cc, ok := c.(ConflictPrepareConn); ok && probedEpoch != 0 {
-		return cc.PrepareConflict(tc, now, holdID, start, end, servers, lease, probedEpoch)
-	}
-	return connPrepare(c, tc, now, holdID, start, end, servers, lease)
 }
 
 // connCommit is connProbe's twin for the commit decision.

@@ -198,41 +198,29 @@ func (f *FailoverConn) RangeView(now, start, end period.Time) (RangeResult, erro
 
 // ProbeTraced implements TracedConn.
 func (f *FailoverConn) ProbeTraced(tc obs.SpanContext, now, start, end period.Time) (ProbeResult, error) {
-	if t, ok := f.Target().(TracedConn); ok {
-		return t.ProbeTraced(tc, now, start, end)
-	}
-	return f.Target().Probe(now, start, end)
+	return connProbe(f.Target(), tc, now, start, end)
 }
 
 // PrepareTraced implements TracedConn.
 func (f *FailoverConn) PrepareTraced(tc obs.SpanContext, now period.Time, holdID string, start, end period.Time, servers int, lease period.Duration) ([]int, error) {
-	if t, ok := f.Target().(TracedConn); ok {
-		return t.PrepareTraced(tc, now, holdID, start, end, servers, lease)
-	}
-	return f.Target().Prepare(now, holdID, start, end, servers, lease)
+	return connPrepare(f.Target(), tc, now, holdID, start, end, servers, lease, 0)
 }
 
 // PrepareConflict implements ConflictPrepareConn by delegating to the
 // active target; a target without the conflict path degrades to the
 // unclassified prepare.
 func (f *FailoverConn) PrepareConflict(tc obs.SpanContext, now period.Time, holdID string, start, end period.Time, servers int, lease period.Duration, probedEpoch uint64) ([]int, error) {
-	return connPrepareEpoch(f.Target(), tc, now, holdID, start, end, servers, lease, probedEpoch)
+	return connPrepare(f.Target(), tc, now, holdID, start, end, servers, lease, probedEpoch)
 }
 
 // CommitTraced implements TracedConn.
 func (f *FailoverConn) CommitTraced(tc obs.SpanContext, now period.Time, holdID string) error {
-	if t, ok := f.Target().(TracedConn); ok {
-		return t.CommitTraced(tc, now, holdID)
-	}
-	return f.Target().Commit(now, holdID)
+	return connCommit(f.Target(), tc, now, holdID)
 }
 
 // AbortTraced implements TracedConn.
 func (f *FailoverConn) AbortTraced(tc obs.SpanContext, now period.Time, holdID string) error {
-	if t, ok := f.Target().(TracedConn); ok {
-		return t.AbortTraced(tc, now, holdID)
-	}
-	return f.Target().Abort(now, holdID)
+	return connAbort(f.Target(), tc, now, holdID)
 }
 
 // WatchEpoch implements WatchConn by delegating to the active target: each

@@ -39,15 +39,10 @@ func TestRestartedBrokerHoldIDsDoNotCollide(t *testing.T) {
 	}
 }
 
-// TestLegacyHoldIDFormatCollides documents why the epoch exists: with the
-// counter-only format two same-named incarnations produce identical IDs.
+// TestLegacyHoldIDFormatCollides documents why hold IDs carry a per-instance
+// epoch: two same-named incarnations both start counting at one, and with
+// the counter-only format they issued identical IDs.
 func TestLegacyHoldIDFormatCollides(t *testing.T) {
-	mk := func() *Broker {
-		return &Broker{cfg: BrokerConfig{Name: "bk"}} // struct literal: no epoch
-	}
-	if id1, id2 := mk().newHoldID(), mk().newHoldID(); id1 != id2 {
-		t.Fatalf("legacy IDs %q vs %q; the collision this PR fixes no longer reproduces", id1, id2)
-	}
 	b1, err := NewBroker(BrokerConfig{Name: "bk"}, LocalConn{Site: mustSite(t, "a", 2)})
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +51,7 @@ func TestLegacyHoldIDFormatCollides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id1, id2 := b1.newHoldID(), b2.newHoldID(); id1 == id2 {
+	if id1, id2 := b1.ids.next(), b2.ids.next(); id1 == id2 {
 		t.Fatalf("epoch IDs collide across incarnations: %q", id1)
 	}
 }
@@ -129,7 +124,7 @@ func TestBreakerOpensSkipsAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	br.clock = clk.Now
-	br.rng = nil // no jitter: deterministic cooldowns
+	noJitter(br)
 
 	window := period.Time(period.Hour)
 
@@ -187,7 +182,7 @@ func TestBreakerFailedTrialDoublesCooldown(t *testing.T) {
 		t.Fatal(err)
 	}
 	br.clock = clk.Now
-	br.rng = nil
+	noJitter(br)
 
 	window := period.Time(period.Hour)
 	cc.failProbes.Store(2) // initial failure + failed trial

@@ -3,10 +3,14 @@ package grid
 import (
 	"context"
 	"errors"
+	"fmt"
+	"log/slog"
 	"net"
 	"os"
 	"sync"
 	"time"
+
+	"coalloc/internal/obs"
 )
 
 // ErrCircuitOpen marks a site the broker is deliberately not talking to:
@@ -161,4 +165,85 @@ func breakerStateName(s int) string {
 		return "half-open"
 	}
 	return "closed"
+}
+
+// feed records in site i's breaker the outcome of a call this goroutine made
+// to it. Success closes the breaker if it was open; failure does the timeout
+// accounting, the consecutive-failure tracking, and the open transition with
+// its event and counter.
+func (b *Broker) feed(i int, err error) {
+	if err == nil {
+		if b.health[i].success() {
+			b.event(obs.EventBreakerClose, slog.String("site", b.sites[i].Name()))
+		}
+		return
+	}
+	if isTimeoutErr(err) {
+		b.m.inc(cRPCTimeouts)
+	}
+	if b.health[i].failure(b.clock(), b.cfg.BreakerThreshold, b.cfg.BreakerCooldown, b.cfg.BreakerCooldownMax, b.jitter) {
+		b.m.inc(cBreakerOpen)
+		b.event(obs.EventBreakerOpen, slog.String("site", b.sites[i].Name()), slog.String("cause", err.Error()))
+		b.tryFailover(i, err)
+	}
+}
+
+// tryFailover promotes a standby when a failover-capable connection's
+// breaker sticks open — the broker's dead-primary detector. failure returns
+// true only on the closed→open transition, so exactly one caller per outage
+// runs the promotion, and FailoverConn serializes internally besides.
+// Synchronous on purpose: the call that opened the breaker has already
+// failed, and the next round should find the promoted standby rather than
+// race the promotion.
+func (b *Broker) tryFailover(i int, cause error) {
+	c := b.sites[i]
+	fc, ok := c.(FailoverCapable)
+	if !ok {
+		return
+	}
+	target, err := fc.Failover("breaker open: " + cause.Error())
+	if err != nil {
+		// No standby left (or promotion failed): the breaker stays open and
+		// cools down like any plain outage.
+		b.event(obs.EventFailover,
+			slog.String("site", c.Name()),
+			slog.String("err", err.Error()))
+		return
+	}
+	// The promoted standby is a different node under the same name: close
+	// the breaker so the next round reaches it immediately, and drop every
+	// cached answer learned from the old primary — its epochs are fenced
+	// anyway, but there is no reason to wait for the epoch protocol to
+	// retire them one probe at a time.
+	b.health[i].success()
+	b.dropCached(c.Name(), "2pc")
+	b.m.inc(cFailovers)
+	b.event(obs.EventFailover,
+		slog.String("site", c.Name()),
+		slog.String("target", target),
+		slog.String("cause", cause.Error()))
+}
+
+// breakerOpenFor reports (and accounts) whether site i's circuit is open,
+// failing the call fast instead of waiting out a timeout.
+func (b *Broker) breakerOpenFor(i int) error {
+	if !b.health[i].allow(b.clock()) {
+		b.m.inc(cBreakerSkips)
+		return fmt.Errorf("%s: %w", b.sites[i].Name(), ErrCircuitOpen)
+	}
+	return nil
+}
+
+// Health reports each site's breaker state in prepare order.
+func (b *Broker) Health() []SiteHealth {
+	now := b.clock()
+	out := make([]SiteHealth, len(b.sites))
+	for i, c := range b.sites {
+		state, fails, openUntil := b.health[i].snapshot()
+		out[i] = SiteHealth{Site: c.Name(), State: breakerStateName(state), Failures: fails}
+		if state == breakerOpen {
+			out[i].Cooldown = max(openUntil.Sub(now), 0)
+		}
+	}
+	return out
 }

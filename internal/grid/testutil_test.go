@@ -230,6 +230,28 @@ func (c *chaosConn) RangeView(now, start, end period.Time) (RangeResult, error) 
 	return rc.RangeView(now, start, end)
 }
 
+// StatCounterName returns the registry name of the counter that reports a
+// BrokerStats or CacheStats field, "" when none does — for the external
+// chaos suite, which cannot see the table.
+func StatCounterName(field string) string {
+	for _, row := range brokerCounters {
+		if row.field == field {
+			return row.name
+		}
+	}
+	return ""
+}
+
+// midSource is a rand.Source whose every draw is the middle of the range.
+type midSource struct{}
+
+func (midSource) Int63() int64 { return 1 << 62 }
+func (midSource) Seed(int64)   {}
+
+// noJitter pins the broker's jitter factor at exactly 1 (Float64 draws 0.5),
+// so breaker cooldowns and retry backoffs are deterministic.
+func noJitter(b *Broker) { b.rng = rand.New(midSource{}) }
+
 // testClock is an injectable, mutable broker clock.
 type testClock struct {
 	mu  sync.Mutex

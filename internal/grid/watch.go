@@ -42,8 +42,8 @@ type Window struct {
 }
 
 // ErrWatchUnsupported reports that the far side predates the watch
-// protocol (or suppresses it): the broker stays on passive per-reply
-// invalidation for that site.
+// protocol: the broker stays on passive per-reply invalidation for that
+// site.
 var ErrWatchUnsupported = errors.New("grid: epoch watch unsupported by site")
 
 // ErrProbeBatchUnsupported reports that the far side predates the batched
@@ -177,7 +177,7 @@ const maxPrefetchWindows = 64
 // that do not implement the batch RPC (or answered it "unsupported" once)
 // are left to the per-window path, which also owns all breaker accounting
 // — a failed prefetch is never worse than no prefetch.
-func (b *Broker) prefetchLadder(_ *obs.ActiveSpan, now, start period.Time, dur period.Duration) {
+func (b *Broker) prefetchLadder(now, start period.Time, dur period.Duration) {
 	pc := b.cache
 	attempts := b.cfg.MaxAttempts
 	if attempts > maxPrefetchWindows {
@@ -185,23 +185,20 @@ func (b *Broker) prefetchLadder(_ *obs.ActiveSpan, now, start period.Time, dur p
 	}
 	b.fanOut(func(i int) {
 		c := b.sites[i]
-		if i < len(b.batchBad) && b.batchBad[i].Load() {
+		if b.batchBad[i].Load() {
 			return
 		}
 		bc, ok := c.(BatchProbeConn)
 		if !ok {
-			if i < len(b.batchBad) {
-				b.batchBad[i].Store(true)
-			}
 			return
 		}
-		if b.breakerOpenFor(c) != nil {
+		if b.breakerOpenFor(i) != nil {
 			return
 		}
 		site := c.Name()
 		wins := make([]Window, 0, attempts)
 		for a, s := 0, start; a < attempts; a, s = a+1, s.Add(b.cfg.DeltaT) {
-			if !pc.peek(site, kindProbe, now, s, s.Add(dur)) {
+			if pc.peek(site, kindProbe, now, s, s.Add(dur)) == nil {
 				wins = append(wins, Window{Start: s, End: s.Add(dur)})
 			}
 		}
@@ -211,26 +208,17 @@ func (b *Broker) prefetchLadder(_ *obs.ActiveSpan, now, start period.Time, dur p
 		gen := pc.genOf(site)
 		results, err := bc.ProbeBatch(now, wins)
 		if err != nil {
-			if errors.Is(err, ErrProbeBatchUnsupported) && i < len(b.batchBad) {
+			if errors.Is(err, ErrProbeBatchUnsupported) {
 				b.batchBad[i].Store(true)
 			}
 			return
 		}
-		pc.batchProbes.Add(1)
-		if b.m != nil {
-			b.m.cacheBatchProbes.Inc()
-		}
+		b.m.inc(cCacheBatchProbes)
 		if len(results) != len(wins) {
 			return
 		}
 		for j, r := range results {
-			if dropped := pc.observe(site, r.Epoch); dropped > 0 {
-				b.event(obs.EventCacheInvalidate,
-					slog.String("site", site),
-					slog.String("cause", "epoch"),
-					slog.Int("entries", dropped))
-			}
-			pc.store(site, kindProbe, wins[j].Start, wins[j].End, r.Epoch, r.SiteNow, r, nil, gen)
+			b.cacheReply(site, kindProbe, wins[j].Start, wins[j].End, reply{probe: r}, gen)
 		}
 	})
 }

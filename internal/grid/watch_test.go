@@ -29,14 +29,14 @@ const (
 // valid through siteNow — the setup step most coherence tests start from.
 func storeProbe(pc *probeCache, site string, epoch uint64, start, end period.Time, avail int) {
 	pc.observe(site, epoch)
-	pc.store(site, kindProbe, start, end, epoch, period.Time(24*period.Hour),
-		ProbeResult{Available: avail, Epoch: epoch}, nil, pc.genOf(site))
+	pc.store(site, kindProbe, start, end,
+		reply{probe: ProbeResult{Available: avail, Epoch: epoch, SiteNow: period.Time(24 * period.Hour)}}, pc.genOf(site))
 }
 
 func cachedAvail(t *testing.T, pc *probeCache, site string, start, end period.Time) (int, bool) {
 	t.Helper()
-	e, ok := pc.lookup(site, kindProbe, 0, start, end)
-	if !ok {
+	e := pc.lookup(site, kindProbe, 0, start, end)
+	if e == nil {
 		return 0, false
 	}
 	return e.probe.Available, true
@@ -158,12 +158,12 @@ func TestObserveEventTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			pc := newProbeCache(15*period.Minute, 64, nil)
+			pc := newProbeCache(15*period.Minute, 64, newBrokerMetrics(nil))
 			if d := pc.observeEvent("a", e1, saltA); d != 0 {
 				t.Fatalf("baseline event dropped %d entries", d)
 			}
-			pc.store("a", kindProbe, 0, w, e1, period.Time(24*period.Hour),
-				ProbeResult{Available: 4, Epoch: e1}, nil, pc.genOf("a"))
+			pc.store("a", kindProbe, 0, w,
+				reply{probe: ProbeResult{Available: 4, Epoch: e1, SiteNow: period.Time(24 * period.Hour)}}, pc.genOf("a"))
 			wantEpoch := tc.run(t, pc)
 			pc.mu.Lock()
 			gotEpoch := pc.sites["a"].epoch
@@ -174,13 +174,13 @@ func TestObserveEventTable(t *testing.T) {
 			if _, ok := cachedAvail(t, pc, "a", 0, w); ok != tc.wantCached {
 				t.Fatalf("entry cached = %v, want %v", ok, tc.wantCached)
 			}
-			if got := pc.reordered.Load(); got != tc.wantReordered {
+			if got := pc.m.c[cCacheReordered].Value(); got != tc.wantReordered {
 				t.Fatalf("reordered = %d, want %d", got, tc.wantReordered)
 			}
-			if got := pc.watchGaps.Load(); got != tc.wantGaps {
+			if got := pc.m.c[cCacheWatchGaps].Value(); got != tc.wantGaps {
 				t.Fatalf("watch gaps = %d, want %d", got, tc.wantGaps)
 			}
-			if got := pc.watchEvents.Load(); got != tc.wantEventCount {
+			if got := pc.m.c[cCacheWatchEvents].Value(); got != tc.wantEventCount {
 				t.Fatalf("watch events = %d, want %d", got, tc.wantEventCount)
 			}
 		})
@@ -195,7 +195,7 @@ func TestObserveEventTable(t *testing.T) {
 func TestCacheStoreAfterInvalidateRace(t *testing.T) {
 	w := period.Time(period.Hour)
 	e1 := saltA + 1
-	pc := newProbeCache(15*period.Minute, 64, nil)
+	pc := newProbeCache(15*period.Minute, 64, newBrokerMetrics(nil))
 
 	// The flight joins (snapshotting the generation), its RPC computes a
 	// reply, and while that reply is in flight an invalidation lands.
@@ -209,8 +209,8 @@ func TestCacheStoreAfterInvalidateRace(t *testing.T) {
 
 	// The reply arrives: same epoch (the mutation may not bump the epoch the
 	// reply reports — it was computed before), but a stale generation.
-	pc.store("a", kindProbe, 0, w, e1, period.Time(24*period.Hour),
-		ProbeResult{Available: 4, Epoch: e1}, nil, fl.gen)
+	pc.store("a", kindProbe, 0, w,
+		reply{probe: ProbeResult{Available: 4, Epoch: e1, SiteNow: period.Time(24 * period.Hour)}}, fl.gen)
 	pc.finish(key, fl)
 	if _, ok := cachedAvail(t, pc, "a", 0, w); ok {
 		t.Fatal("reply computed before the invalidation was cached after it")
@@ -219,8 +219,8 @@ func TestCacheStoreAfterInvalidateRace(t *testing.T) {
 	// Control: the identical sequence without the racing invalidation stores
 	// normally — the generation check only refuses genuinely raced replies.
 	fl2, _ := pc.join(key)
-	pc.store("a", kindProbe, 0, w, e1, period.Time(24*period.Hour),
-		ProbeResult{Available: 4, Epoch: e1}, nil, fl2.gen)
+	pc.store("a", kindProbe, 0, w,
+		reply{probe: ProbeResult{Available: 4, Epoch: e1, SiteNow: period.Time(24 * period.Hour)}}, fl2.gen)
 	pc.finish(key, fl2)
 	if av, ok := cachedAvail(t, pc, "a", 0, w); !ok || av != 4 {
 		t.Fatalf("un-raced store refused (cached=%v avail=%d)", ok, av)
@@ -310,14 +310,14 @@ func TestCacheEpochRegressionReorderedReply(t *testing.T) {
 	w := period.Time(period.Hour)
 	w2 := period.Time(2 * period.Hour)
 	e1, e2 := saltA+1, saltA+2
-	pc := newProbeCache(15*period.Minute, 64, nil)
+	pc := newProbeCache(15*period.Minute, 64, newBrokerMetrics(nil))
 
 	storeProbe(pc, "a", e1, 0, w, 4)
 	if d := pc.observe("a", e2); d != 1 {
 		t.Fatalf("newer epoch dropped %d entries, want 1", d)
 	}
-	pc.store("a", kindProbe, 0, w, e2, period.Time(24*period.Hour),
-		ProbeResult{Available: 1, Epoch: e2}, nil, pc.genOf("a"))
+	pc.store("a", kindProbe, 0, w,
+		reply{probe: ProbeResult{Available: 1, Epoch: e2, SiteNow: period.Time(24 * period.Hour)}}, pc.genOf("a"))
 
 	// The delayed e1 reply lands. It must not be adopted: the e2 entry
 	// stays, and a store against e1 is refused.
@@ -327,12 +327,12 @@ func TestCacheEpochRegressionReorderedReply(t *testing.T) {
 	if av, ok := cachedAvail(t, pc, "a", 0, w); !ok || av != 1 {
 		t.Fatalf("current-epoch entry lost to a reordered reply (cached=%v avail=%d)", ok, av)
 	}
-	pc.store("a", kindProbe, w, w2, e1, period.Time(24*period.Hour),
-		ProbeResult{Available: 4, Epoch: e1}, nil, pc.genOf("a"))
+	pc.store("a", kindProbe, w, w2,
+		reply{probe: ProbeResult{Available: 4, Epoch: e1, SiteNow: period.Time(24 * period.Hour)}}, pc.genOf("a"))
 	if _, ok := cachedAvail(t, pc, "a", w, w2); ok {
 		t.Fatal("store under a superseded epoch was accepted")
 	}
-	if got := pc.reordered.Load(); got != 1 {
+	if got := pc.m.c[cCacheReordered].Value(); got != 1 {
 		t.Fatalf("reordered = %d, want 1", got)
 	}
 }

@@ -22,7 +22,7 @@ import (
 
 // startConflictSite is startSite returning the served site too, so tests
 // can mutate it behind the client's back.
-func startConflictSite(t *testing.T, name string, servers int, tune func(*Server)) (*grid.Site, *Client) {
+func startConflictSite(t *testing.T, name string, servers int) (*grid.Site, *Client) {
 	t.Helper()
 	site, err := grid.NewSite(name, core.Config{
 		Servers:  servers,
@@ -35,9 +35,6 @@ func startConflictSite(t *testing.T, name string, servers int, tune func(*Server
 	srv, err := NewServer(site)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if tune != nil {
-		tune(srv)
 	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -70,7 +67,7 @@ func stealServers(t *testing.T, site *grid.Site, n int, start, end period.Time) 
 // refusal at a moved epoch arrives at the client as the typed
 // *grid.ConflictError carrying the site's current epoch.
 func TestConflictCrossesWireTyped(t *testing.T) {
-	site, c := startConflictSite(t, "conflict-wire", 4, nil)
+	site, c := startConflictSite(t, "conflict-wire", 4)
 	start, end := period.Time(period.Hour), period.Time(2*period.Hour)
 
 	r, err := c.Probe(0, start, end)
@@ -106,7 +103,7 @@ func TestConflictCrossesWireTyped(t *testing.T) {
 // must receive a plain RPC error — never the nil-error reply whose Servers
 // field it would read as an empty successful grant.
 func TestLegacyClientNeverSeesConflictReply(t *testing.T) {
-	site, _ := startConflictSite(t, "conflict-old-client", 4, nil)
+	site, _ := startConflictSite(t, "conflict-old-client", 4)
 	addr, _ := siteAddrs.Load("conflict-old-client")
 	rc, err := rpc.Dial("tcp", addr.(string))
 	if err != nil {
@@ -159,28 +156,5 @@ func TestLegacyServerDegradesConflictToPlainError(t *testing.T) {
 	}
 	if st := br.Stats(); st.Conflicts != 0 {
 		t.Fatalf("broker counted %d conflicts against a legacy site", st.Conflicts)
-	}
-}
-
-// TestSuppressConflictsMatchesOldServer proves the emulation flag honest: a
-// modern server with SuppressConflicts answers the same race with the plain
-// error an epoch-aware-but-conflict-blind binary would, so mixed-version
-// drills can stage the degradation without an old build.
-func TestSuppressConflictsMatchesOldServer(t *testing.T) {
-	site, c := startConflictSite(t, "conflict-suppressed", 4, func(s *Server) { s.SuppressConflicts() })
-	start, end := period.Time(period.Hour), period.Time(2*period.Hour)
-
-	r, err := c.Probe(0, start, end)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Epoch == 0 {
-		t.Fatal("SuppressConflicts must not suppress epochs")
-	}
-	stealServers(t, site, 3, start, end)
-
-	_, err = c.PrepareConflict(obs.SpanContext{}, 0, "h1", start, end, 4, period.Hour, r.Epoch)
-	if err == nil || errors.Is(err, grid.ErrConflict) {
-		t.Fatalf("suppressed server still classified the conflict: %v", err)
 	}
 }

@@ -201,54 +201,6 @@ func TestLegacyServerDoesNotPoisonBrokerCache(t *testing.T) {
 	}
 }
 
-// TestSuppressEpochsMatchesLegacySchema proves the emulation flag honest: a
-// modern server with SuppressEpochs produces exactly the zero-epoch replies
-// a legacy binary would, so gridd -suppress-epochs is a faithful stand-in in
-// mixed-version drills.
-func TestSuppressEpochsMatchesLegacySchema(t *testing.T) {
-	site, err := grid.NewSite("suppressed", core.Config{
-		Servers:  4,
-		SlotSize: 15 * period.Minute,
-		Slots:    96,
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewServer(site)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.SuppressEpochs()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(l)
-	t.Cleanup(func() { srv.Close() })
-	c, err := Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-
-	r, err := c.Probe(0, 0, period.Time(period.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Epoch != 0 || r.SiteNow != 0 {
-		t.Fatalf("suppressed server leaked epoch metadata: %+v", r)
-	}
-	br, err := grid.NewBroker(grid.BrokerConfig{ProbeCache: true, BreakerThreshold: -1}, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	br.ProbeAll(0, 0, period.Time(period.Hour))
-	br.ProbeAll(0, 0, period.Time(period.Hour))
-	if cs := br.CacheStats(); cs.Hits != 0 || cs.Entries != 0 {
-		t.Fatalf("suppressed-epoch replies were cached: %+v", cs)
-	}
-}
-
 // TestOldClientDropsUnknownEpochFields pins the encode direction: a legacy
 // broker decoding a modern server's reply simply never sees the new fields.
 func TestOldClientDropsUnknownEpochFields(t *testing.T) {

@@ -16,12 +16,9 @@ package wire
 // an old broker never calls Watch or ProbeBatch; a new broker calling an
 // old server gets "rpc: can't find method", which the client maps to
 // grid.ErrWatchUnsupported / grid.ErrProbeBatchUnsupported so the broker
-// degrades to passive invalidation and per-window probes. Server.
-// SuppressWatch emulates that old server byte-for-byte for tests and
-// staged rollouts.
+// degrades to passive invalidation and per-window probes.
 
 import (
-	"errors"
 	"fmt"
 	"net/rpc"
 	"os"
@@ -93,21 +90,9 @@ type BatchProbeReply struct {
 	Results  []WindowProbe
 }
 
-// errUnsupportedMethod fabricates the exact error a genuinely old server's
-// net/rpc produces for an unknown method, so SuppressWatch emulation and
-// real old binaries are indistinguishable on the wire.
-func errUnsupportedMethod(method string) error {
-	return errors.New("rpc: can't find method " + ServiceName + "." + method)
-}
-
-// Watch implements the RPC long-poll. A server suppressing the watch (or
-// epochs entirely — a pre-epoch binary certainly predates the watch)
-// answers exactly like a binary without the method.
+// Watch implements the RPC long-poll.
 func (s *Service) Watch(args WatchArgs, reply *WatchReply) error {
 	return s.m.observe("Watch", func() error {
-		if s.suppressWatch || s.suppressEpochs {
-			return errUnsupportedMethod("Watch")
-		}
 		wait := time.Duration(args.MaxWaitMillis) * time.Millisecond
 		if wait <= 0 {
 			wait = defaultWatchWait
@@ -127,9 +112,6 @@ func (s *Service) Watch(args WatchArgs, reply *WatchReply) error {
 // ProbeBatch implements the batched ladder probe.
 func (s *Service) ProbeBatch(args BatchProbeArgs, reply *BatchProbeReply) error {
 	return s.m.observe("ProbeBatch", func() error {
-		if s.suppressWatch || s.suppressEpochs {
-			return errUnsupportedMethod("ProbeBatch")
-		}
 		if len(args.Windows) > maxBatchWindows {
 			return fmt.Errorf("wire: batch probe of %d windows exceeds the %d bound", len(args.Windows), maxBatchWindows)
 		}
@@ -143,13 +125,6 @@ func (s *Service) ProbeBatch(args BatchProbeArgs, reply *BatchProbeReply) error 
 		return nil
 	})
 }
-
-// SuppressWatch makes the server answer Watch and ProbeBatch exactly like
-// a binary that predates them ("rpc: can't find method"), emulating an old
-// site for compat tests and staged rollouts. Call before Serve. Epoch
-// metadata on the plain probe path is unaffected; use SuppressEpochs to
-// emulate an even older binary (which implies no watch either).
-func (s *Server) SuppressWatch() { s.svc.suppressWatch = true }
 
 // isUnsupportedMethodErr matches the net/rpc answer for a method the far
 // side does not register — the interop signal that the server predates

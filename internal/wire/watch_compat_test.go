@@ -4,9 +4,8 @@ package wire
 // compat tests: the two RPCs added in the watch PR must be invisible to old
 // peers in both directions. An old server answers them "can't find method",
 // which the client maps to the grid sentinels so the broker degrades to
-// passive invalidation and per-window probes; SuppressWatch must be
-// byte-identical to the genuine old-server error so drills are honest. The
-// stream itself must survive a server restart by re-subscribing.
+// passive invalidation and per-window probes. The stream itself must
+// survive a server restart by re-subscribing.
 
 import (
 	"errors"
@@ -31,67 +30,6 @@ func TestLegacyServerWatchUnsupported(t *testing.T) {
 	_, err = c.ProbeBatch(0, []grid.Window{{Start: 0, End: period.Time(period.Hour)}})
 	if !errors.Is(err, grid.ErrProbeBatchUnsupported) {
 		t.Fatalf("batch probe against legacy server = %v, want ErrProbeBatchUnsupported", err)
-	}
-}
-
-// suppressedServer starts a modern server with the given suppression
-// applied and returns a dialed client.
-func suppressedServer(t *testing.T, name string, suppress func(*Server)) *Client {
-	t.Helper()
-	site, err := grid.NewSite(name, core.Config{
-		Servers:  4,
-		SlotSize: 15 * period.Minute,
-		Slots:    96,
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewServer(site)
-	if err != nil {
-		t.Fatal(err)
-	}
-	suppress(srv)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(l)
-	t.Cleanup(func() { srv.Close() })
-	c, err := Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return c
-}
-
-// TestSuppressWatchMatchesLegacyError proves the emulation honest: a
-// suppressed modern server and a genuinely old server must be
-// indistinguishable to the client — same sentinel, same underlying rpc
-// error string. SuppressEpochs implies the same answer (a pre-epoch binary
-// certainly predates the watch).
-func TestSuppressWatchMatchesLegacyError(t *testing.T) {
-	rawErr := func(c *Client) (watch, batch string) {
-		_, _, werr := c.WatchEpoch(0, 50*time.Millisecond)
-		_, berr := c.ProbeBatch(0, []grid.Window{{Start: 0, End: period.Time(period.Hour)}})
-		if !errors.Is(werr, grid.ErrWatchUnsupported) || !errors.Is(berr, grid.ErrProbeBatchUnsupported) {
-			t.Fatalf("suppression did not map to the sentinels: watch=%v batch=%v", werr, berr)
-		}
-		// Strip the client's "wire <addr>" prefix: the comparison is about
-		// what came over the wire, and the sentinel wrap is addr-specific.
-		return errors.Unwrap(werr).Error(), errors.Unwrap(berr).Error()
-	}
-	_, legacy := startLegacySite(t, "old-watch-err", 4)
-	lw, lb := rawErr(legacy)
-	sw := suppressedServer(t, "suppress-watch", func(s *Server) { s.SuppressWatch() })
-	ww, wb := rawErr(sw)
-	if lw != ww || lb != wb {
-		t.Fatalf("SuppressWatch error differs from a real old server:\n  legacy: %q / %q\n  suppressed: %q / %q", lw, lb, ww, wb)
-	}
-	se := suppressedServer(t, "suppress-epochs-watch", func(s *Server) { s.SuppressEpochs() })
-	ew, eb := rawErr(se)
-	if lw != ew || lb != eb {
-		t.Fatalf("SuppressEpochs watch error differs from a real old server:\n  legacy: %q / %q\n  suppressed: %q / %q", lw, lb, ew, eb)
 	}
 }
 

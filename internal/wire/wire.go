@@ -193,15 +193,6 @@ func (m *svcMetrics) observe(method string, fn func() error) error {
 type Service struct {
 	site *grid.Site
 	m    *svcMetrics
-	// suppressEpochs omits epoch metadata from replies, emulating a server
-	// binary that predates the epoch field; see Server.SuppressEpochs.
-	suppressEpochs bool
-	// suppressWatch answers Watch/ProbeBatch like a binary without the
-	// methods; see Server.SuppressWatch in watch.go.
-	suppressWatch bool
-	// suppressConflicts answers Prepare like a binary that has epochs but
-	// predates conflict classification; see Server.SuppressConflicts.
-	suppressConflicts bool
 }
 
 // traceContext rebuilds the caller's span context from a request's trace
@@ -217,10 +208,8 @@ func (s *Service) Probe(args ProbeArgs, reply *ProbeReply) error {
 		n, epoch, siteNow := s.site.ProbeViewTraced(traceContext(args.TraceID, args.SpanID), args.Now, args.Start, args.End)
 		reply.Available = n
 		reply.Capacity = s.site.Servers()
-		if !s.suppressEpochs {
-			reply.Epoch = epoch
-			reply.SiteNow = siteNow
-		}
+		reply.Epoch = epoch
+		reply.SiteNow = siteNow
 		return nil
 	})
 }
@@ -230,10 +219,8 @@ func (s *Service) Range(args RangeArgs, reply *RangeReply) error {
 	return s.m.observe("Range", func() error {
 		feasible, epoch, siteNow := s.site.RangeSearchViewTraced(traceContext(args.TraceID, args.SpanID), args.Now, args.Start, args.End)
 		reply.Feasible = feasible
-		if !s.suppressEpochs {
-			reply.Epoch = epoch
-			reply.SiteNow = siteNow
-		}
+		reply.Epoch = epoch
+		reply.SiteNow = siteNow
 		return nil
 	})
 }
@@ -241,13 +228,7 @@ func (s *Service) Range(args RangeArgs, reply *RangeReply) error {
 // Prepare implements the RPC method.
 func (s *Service) Prepare(args PrepareArgs, reply *PrepareReply) error {
 	return s.m.observe("Prepare", func() error {
-		probedEpoch := args.ProbedEpoch
-		if s.suppressEpochs || s.suppressConflicts {
-			// Emulating a binary that predates the conflict (or the whole
-			// epoch) protocol: never classify, never touch the reply fields.
-			probedEpoch = 0
-		}
-		servers, err := s.site.PrepareConflictTraced(traceContext(args.TraceID, args.SpanID), args.Now, args.HoldID, args.Start, args.End, args.Servers, args.Lease, probedEpoch)
+		servers, err := s.site.PrepareConflictTraced(traceContext(args.TraceID, args.SpanID), args.Now, args.HoldID, args.Start, args.End, args.Servers, args.Lease, args.ProbedEpoch)
 		if err != nil {
 			var conflict *grid.ConflictError
 			if errors.As(err, &conflict) && args.ProbedEpoch != 0 {
@@ -262,9 +243,7 @@ func (s *Service) Prepare(args PrepareArgs, reply *PrepareReply) error {
 			return err
 		}
 		reply.Servers = servers
-		if !s.suppressEpochs {
-			reply.Epoch = s.site.Epoch()
-		}
+		reply.Epoch = s.site.Epoch()
 		return nil
 	})
 }
@@ -338,20 +317,6 @@ func NewServer(site *grid.Site) (*Server, error) {
 	}
 	return &Server{site: site, svc: svc, rpc: srv, conns: make(map[net.Conn]struct{})}, nil
 }
-
-// SuppressEpochs makes the server omit the epoch metadata from Probe,
-// Range, and Prepare replies, byte-compatibly emulating a site binary that
-// predates the epoch field. Call before Serve. Tests (and gridd
-// -suppress-epochs) use it to prove a caching broker degrades to uncached
-// correctness against old servers instead of poisoning its cache.
-func (s *Server) SuppressEpochs() { s.svc.suppressEpochs = true }
-
-// SuppressConflicts makes the server answer Prepare like a binary that
-// reports epochs but predates conflict classification: every capacity
-// refusal returns as a plain RPC error, never as a Conflict reply. Call
-// before Serve. Tests use it to prove a conflict-aware broker degrades to
-// the Δt-ladder behavior against such servers.
-func (s *Server) SuppressConflicts() { s.svc.suppressConflicts = true }
 
 // Instrument installs per-method latency histograms, an error counter, and
 // connection gauges under reg's "wire.server." prefix. Call before Serve.
