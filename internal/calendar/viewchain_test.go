@@ -4,7 +4,8 @@ package calendar
 //
 // FuzzViewChain publishes at fuzzer-chosen points, retains the last eight
 // views and re-asks each of them everything it answered at publication after
-// every later mutation. TestViewReadersRace does the same from concurrent
+// every later mutation. FuzzViewAcrossAdvance holds a view against the live
+// backend as only the clock moves. TestViewReadersRace does the same from concurrent
 // readers under -race. TestDtreeOpsAcrossPublishPinned holds the operation
 // counter of a scripted run to the value the one-level ring produced.
 
@@ -175,6 +176,107 @@ func FuzzViewChain(f *testing.F) {
 		ops = ops[:min(len(ops), 32+4096/slots)]
 		for _, name := range Backends() {
 			viewChain(t, name, slots, ops)
+		}
+	})
+}
+
+// acrossAdvance checks the invariant a grid site's read path rests on: with
+// nothing but the clock moving, a view cut at T0 and the live backend at any
+// T1 >= T0 return the same RangeSearch for every window that starts at or
+// after T1 and ends inside the view's horizon — rotation (§4.1) retires the
+// slots behind T1 and fills the ones entering the horizon, and touches no
+// slot in between. It moves c through the given clock steps, asking after
+// each.
+func acrossAdvance(t *testing.T, backend string, c AvailabilityBackend, live []fuzzLive, steps []period.Time) {
+	t.Helper()
+	v := c.PublishView()
+	slot := period.Time(c.Config().SlotSize)
+	for _, by := range steps {
+		c.Advance(c.Now() + by)
+		t1, h := c.Now(), v.HorizonEnd()
+		if t1 >= h {
+			return // a whole-horizon jump leaves no window inside both
+		}
+		at := []period.Time{t1, t1 + 1, (t1/slot + 1) * slot, h - slot, h - 1}
+		for k := int64(1); k < 12; k++ {
+			at = append(at, t1+period.Time(int64(h-t1)*k/12))
+		}
+		for _, a := range live {
+			at = append(at, a.start, a.end)
+		}
+		for _, s := range at {
+			if s < t1 || s >= h {
+				continue
+			}
+			for _, e := range []period.Time{s + 1, s + 2*slot, h} {
+				if e > h {
+					continue
+				}
+				if got, want := v.RangeSearch(s, e), c.RangeSearch(s, e); !slices.Equal(got, want) {
+					t.Fatalf("%s: view of %d at clock %d: RangeSearch[%d,%d) = %v, live backend %v",
+						backend, v.Now(), t1, s, e, got, want)
+				}
+			}
+		}
+	}
+}
+
+// viewAcrossAdvance drives one backend on a ring of the given size through
+// ops, stopping where the op stream says to check acrossAdvance over three
+// clock steps drawn from the op: inside a slot, a few slots, and one in four
+// times the rest of the horizon and beyond.
+func viewAcrossAdvance(t *testing.T, backend string, slots int, ops []fuzzOp) {
+	cfg := Config{Servers: fuzzCfg.Servers, SlotSize: fuzzCfg.SlotSize, Slots: slots}
+	c, err := NewBackend(backend, cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live []fuzzLive
+	for _, op := range ops {
+		if op.kind == 3 || op.c&0x80 != 0 {
+			steps := []period.Time{
+				period.Time(int64(op.a) % int64(cfg.SlotSize)),
+				period.Time(int64(op.b) % (5 * int64(cfg.SlotSize))),
+				0,
+			}
+			if op.c%4 == 0 {
+				steps[2] = c.HorizonEnd() - c.WindowStart() + period.Time(op.a%3) - 1
+			}
+			acrossAdvance(t, backend, c, live, steps)
+		}
+		chainStep(t, c, op, &live)
+	}
+	if err := c.CheckConsistency(); err != nil {
+		t.Fatalf("%s: %v", backend, err)
+	}
+}
+
+func FuzzViewAcrossAdvance(f *testing.F) {
+	for ring := range chainRings {
+		f.Add([]byte{byte(ring)})
+		f.Add(append([]byte{byte(ring)}, bytes.Repeat([]byte{0, 1, 44, 0, 180, 0x82, 3, 0, 7, 0, 60, 0, 1, 0, 0, 0, 90, 0}, 12)...))
+		f.Add(append([]byte{byte(ring)}, bytes.Repeat([]byte{0, 0, 70, 0, 90, 0x81, 2, 0, 70, 0, 1, 0, 0, 9, 44, 0, 180, 1, 3, 0, 20, 0, 8, 0x80, 1, 0, 1, 0, 7, 0}, 8)...))
+		f.Add(append([]byte{byte(ring)}, bytes.Repeat([]byte{0, 30, 0, 1, 0, 2, 0, 90, 0, 0, 60, 0x84, 2, 0, 149, 0, 3, 0, 1, 0, 0, 0, 0, 0x80}, 10)...))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		slots := chainRings[int(data[0])%len(chainRings)]
+		ops := decodeFuzzOps(data[1:])
+		ops = ops[:min(len(ops), 32+4096/slots)] // as in FuzzViewChain
+		for _, name := range Backends() {
+			viewAcrossAdvance(t, name, slots, ops)
+		}
+	})
+}
+
+// TestViewAnswersAcrossAdvance runs the across-advance invariant on a long
+// seeded stream per ring, so plain `go test` covers more than the fuzz seeds.
+func TestViewAnswersAcrossAdvance(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, b backendCase) {
+		for i, slots := range chainRings {
+			viewAcrossAdvance(t, b.name, slots, randomChainOps(int64(23+i), 600))
 		}
 	})
 }

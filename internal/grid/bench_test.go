@@ -154,6 +154,60 @@ func BenchmarkSiteWritersWAL(b *testing.B) {
 	}
 }
 
+// BenchmarkSiteProbeAdvancingClock measures a probe whose now is ahead of
+// every view the site has published — the first probe of every job, since the
+// stream's clock always advances — beside 0, 2 and 8 writers running prepare
+// → commit → compensating abort on the same clock against a real
+// fsync-per-commit log. The view answers it (viewFor), so ns/op must not
+// grow with the writers; when such a probe rode the write queue it parked
+// behind their fsyncs.
+func BenchmarkSiteProbeAdvancingClock(b *testing.B) {
+	for _, writers := range []int{0, 2, 8} {
+		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
+			wlog, _, err := wal.Open(b.TempDir(), wal.Options{Sync: wal.SyncAlways})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer wlog.Close()
+			s := benchSite(b)
+			s.AttachWAL(wlog)
+			var clock atomic.Int64
+			var stop atomic.Bool
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; !stop.Load(); i++ {
+						now := period.Time(clock.Load())
+						id := fmt.Sprintf("w%d-%d", w, i)
+						if _, err := s.Prepare(now, id, now.Add(period.Hour), now.Add(2*period.Hour), 1, period.Hour); err != nil {
+							b.Error(err)
+							return
+						}
+						if err := s.Commit(now, id); err != nil {
+							b.Error(err)
+							return
+						}
+						if err := s.Abort(now, id); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}(w)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				now := period.Time(clock.Add(1))
+				s.Probe(now, now.Add(period.Hour), now.Add(2*period.Hour))
+			}
+			b.StopTimer()
+			stop.Store(true)
+			wg.Wait()
+		})
+	}
+}
+
 // BenchmarkSiteCommit measures a commit-only write batch on a site of the
 // shipped shape (43 servers, 672 slots) per backend: the decision moves a
 // hold between two maps and bumps a counter, the calendar and the clock stand

@@ -230,8 +230,9 @@ func (c *BrokerConfig) applyDefaults() {
 // concurrent use.
 type Broker struct {
 	cfg    BrokerConfig
-	sites  []Conn       // sorted by name: index order is the global prepare order
-	health []siteHealth // breaker state, by site
+	sites  []Conn        // sorted by name: index order is the global prepare order
+	health []siteHealth  // breaker state, by site
+	quick  []atomic.Bool // by site: its last read round trip took under quickRoundTrip; see fanOut
 	m      *brokerMetrics
 	cache  *probeCache   // nil unless cfg.ProbeCache
 	rec    *obs.Recorder // flight recorder; nil only under cfg.NoTrace
@@ -282,6 +283,7 @@ func NewBroker(cfg BrokerConfig, sites ...Conn) (*Broker, error) {
 		cfg:    cfg,
 		sites:  ordered,
 		health: make([]siteHealth, len(ordered)),
+		quick:  make([]atomic.Bool, len(ordered)),
 		m:      newBrokerMetrics(cfg.Registry),
 		rec:    cfg.Recorder,
 		ids:    holdSeq{prefix: cfg.Name + "-" + newEpoch() + "-"},

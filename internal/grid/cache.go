@@ -14,8 +14,8 @@ import (
 //   - Validity. An entry answers a request iff it was computed for exactly
 //     the requested window, the site has not reported a newer epoch, and the
 //     request's now does not exceed the site clock the answer was computed
-//     at (a clock-moving probe may expire leases — a mutation — so it must
-//     reach the site, mirroring the site's own lock-free read gating).
+//     at (a probe ahead of it may cross a lease expiry — a mutation — and
+//     only the site's own view knows when the next one is due).
 //   - Invalidation. Epochs are compared on every fresh reply; a moved epoch
 //     drops every entry of that site at once (the epoch is site-global).
 //     The broker also drops a site's entries eagerly around its own 2PC

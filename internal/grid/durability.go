@@ -174,12 +174,12 @@ type flushItem struct {
 	waiters []*pendingWrite
 }
 
-// stageBatchLocked ends a journaled site's batch apply step; the caller holds
-// s.mu. Either the batch completes here — it staged nothing and the flush stage is idle,
-// so its view can be published at once — or it is parked on the flush list.
-// A batch parked on an idle stage claims it: flusher tells the caller to run
-// flush once it has released s.mu. Everybody else who parks has a flusher
-// ahead of them and waits to be woken.
+// stageBatchLocked ends a batch's apply step; the caller holds s.mu. Either
+// the batch completes here — it staged nothing (a site with no journal never
+// does) and the flush stage is idle, so its view can be published at once —
+// or it is parked on the flush list. A batch parked on an idle stage claims
+// it: flusher tells the caller to run flush once it has released s.mu.
+// Everybody else who parks has a flusher ahead of them and waits to be woken.
 func (s *Site) stageBatchLocked(batch []*pendingWrite) (flusher, parked bool) {
 	recs := s.staged
 	s.staged = nil

@@ -11,15 +11,33 @@ import (
 	"coalloc/internal/period"
 )
 
+// quickRoundTrip is the round trip below which overlapping a round's legs
+// costs more than it saves: handing a leg to another goroutine is ≈3 µs of
+// futex wake alone, an in-process probe takes 0.3–1 µs and a loopback RPC at
+// least 50 µs, so nothing sits near the line.
+const quickRoundTrip = 10 * time.Microsecond
+
 // fanOut runs f(i) for every site index on at most ProbeWorkers goroutines,
 // the caller's among them, so one round's footprint stays fixed no matter
 // how many sites the federation has. Each goroutine claims the next unclaimed
 // index until none is left: with workers >= sites (every shipped config)
 // that is one index each, handed over without a channel, and a round spawns
-// one goroutine fewer than it has sites. f is responsible for recording its
-// own result.
+// one goroutine fewer than it has sites. A round in which no leg can block —
+// every site's last round trip was quick, see fetch — has nothing to overlap
+// and runs as a plain loop on the caller. f is responsible for recording
+// its own result.
 func (b *Broker) fanOut(f func(i int)) {
 	n := len(b.sites)
+	quick := len(b.quick) > 0
+	for i := range b.quick {
+		quick = quick && b.quick[i].Load()
+	}
+	if quick {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
+		return
+	}
 	workers := max(min(b.cfg.ProbeWorkers, n), 1)
 	var round struct {
 		next atomic.Int64
@@ -105,13 +123,11 @@ const (
 // tc so the site's spans parent under the caller's. Without a cache it is
 // the plain round trip. Whoever made the round trip feeds the site's breaker
 // with its outcome, and nobody else: a timeout counted once per waiter would
-// trip the breaker in a single round. With a cache the reply's feasible
-// slice is shared with it: callers must not modify it.
-//
-// The round trip is called from one place, directly in this function, and
-// fan-out legs call fetch directly, on purpose: fanOut's goroutines are fresh
-// and their stacks small, and two more frames above the connection cost a
-// TCP probe a stack copy (+17 %).
+// trip the breaker in a single round. The same caller times the round trip
+// for fanOut: at the conn call, so a decorated in-process conn counts as what
+// it is, and not per leg, so a cache hit does not turn the miss round after
+// it into serial RPCs. With a cache the reply's feasible slice is shared
+// with it: callers must not modify it.
 func (b *Broker) fetch(i int, kind uint8, tc obs.SpanContext, now, start, end period.Time) (r reply, src string, err error) {
 	c, pc := b.sites[i], b.cache
 	site, src := c.Name(), probeSrcRPC
@@ -129,6 +145,7 @@ func (b *Broker) fetch(i int, kind uint8, tc obs.SpanContext, now, start, end pe
 		}
 		src = probeSrcMiss
 	}
+	t0 := b.clock()
 	if kind == kindRange {
 		var rr RangeResult
 		rr, err = c.(RangeConn).RangeView(now, start, end)
@@ -136,6 +153,7 @@ func (b *Broker) fetch(i int, kind uint8, tc obs.SpanContext, now, start, end pe
 	} else {
 		r.probe, err = connProbe(c, tc, now, start, end)
 	}
+	b.quick[i].Store(b.clock().Sub(t0) < quickRoundTrip)
 	if pc != nil {
 		if err == nil {
 			b.cacheReply(site, kind, start, end, r, fl.gen)
@@ -158,16 +176,6 @@ func (b *Broker) cacheReply(site string, kind uint8, start, end period.Time, r r
 			slog.Int("entries", dropped))
 	}
 	b.cache.store(site, kind, start, end, r, gen)
-}
-
-// siteRead performs the round trip behind fetch.
-func siteRead(c Conn, kind uint8, tc obs.SpanContext, now, start, end period.Time) (reply, error) {
-	if kind == kindRange {
-		rr, err := c.(RangeConn).RangeView(now, start, end)
-		return reply{probe: ProbeResult{Epoch: rr.Epoch, SiteNow: rr.SiteNow}, feasible: rr.Feasible}, err
-	}
-	r, err := connProbe(c, tc, now, start, end)
-	return reply{probe: r}, err
 }
 
 // dropCached drops a site's cached availability and says why. The broker

@@ -24,8 +24,11 @@
 // (siteView) published through an atomic pointer after each mutation batch,
 // so any number of broker probes proceed concurrently without touching the
 // site mutex (RCU-style: readers load the pointer, writers publish a fresh
-// view). Writes — Prepare, Commit, Abort, and any read that must advance
-// the clock past the published epoch — go through a bounded admission queue
+// view). A view answers across clock steps: slot rotation never touches a
+// slot inside the horizon, so a read at a later now gets the view's answer
+// unless it crosses a pending hold's lease, looks past the view's horizon or
+// asks about the past (viewFor). Writes — Prepare, Commit, Abort, and the few
+// reads viewFor turns away — go through a bounded admission queue
 // (submitWrite) that coalesces concurrently arriving mutations into one
 // lock acquisition per batch. A journaled batch is applied under the site
 // lock but made durable after it: its records, its view and its writers
@@ -121,6 +124,10 @@ type siteView struct {
 	// view so watch events can carry it without taking the site lock.
 	salt                                  uint64
 	prepared, committed, aborted, expired uint64
+	// leaseDue is the earliest lease deadline among the pending holds the
+	// view was cut with (period.Infinity with none): from then on the live
+	// site expires a hold, so the view answers only reads before it.
+	leaseDue period.Time
 	// lookupAttrs is the prebuilt cap==len attr slice for spans answered
 	// from this view; the site and epoch are fixed per view, so probes on
 	// the lock-free read path annotate their span without allocating.
@@ -271,6 +278,10 @@ func (s *Site) publishLocked() {
 func (s *Site) viewLocked() *siteView {
 	cv := s.sched.PublishView()
 	epoch := s.epochSalt + cv.Epoch()
+	leaseDue := period.Infinity
+	for _, h := range s.holds {
+		leaseDue = min(leaseDue, h.Expires)
+	}
 	return &siteView{
 		cal:         cv,
 		epoch:       epoch,
@@ -279,6 +290,7 @@ func (s *Site) viewLocked() *siteView {
 		committed:   s.committed,
 		aborted:     s.aborted,
 		expired:     s.expired,
+		leaseDue:    leaseDue,
 		lookupAttrs: []slog.Attr{slog.String("site", s.name), slog.Uint64("epoch", epoch)},
 	}
 }
@@ -415,7 +427,7 @@ func (s *Site) leadWrites(w *pendingWrite) {
 // fresh view, every writer woken) or is parked in the flush stage, which
 // completes it once its records are durable. It reports whether the caller
 // claimed the flush stage and must now run it.
-func (s *Site) applyBatch(batch []*pendingWrite) (flusher bool) {
+func (s *Site) applyBatch(batch []*pendingWrite) bool {
 	traced := false
 	for _, w := range batch {
 		if w.sp != nil {
@@ -436,17 +448,7 @@ func (s *Site) applyBatch(batch []*pendingWrite) (flusher bool) {
 	for _, w := range batch {
 		w.err = w.exec()
 	}
-	// A site with no journal has nothing to make durable: one view, done.
-	// (Called from here rather than through stageBatchLocked on purpose: the
-	// publish is the deepest point of a clock-moving probe's stack, and the
-	// broker runs those on fresh goroutines that pay for every extra frame
-	// with a stack copy.)
-	parked := false
-	if s.wal == nil {
-		s.publishLocked()
-	} else {
-		flusher, parked = s.stageBatchLocked(batch)
-	}
+	flusher, parked := s.stageBatchLocked(batch)
 	s.mu.Unlock()
 	if !parked {
 		for _, w := range batch {
@@ -501,21 +503,35 @@ func (s *Site) applyLocked(op Op, attrs ...slog.Attr) error {
 	return nil
 }
 
-// Probe reports how many servers the site could co-allocate over
-// [start, end) as of now, without committing anything. When now is at or
-// before the published epoch it is answered lock-free from the epoch view;
-// a probe that moves the clock forward must expire leases, which is a
-// mutation, so it rides the write queue instead.
-func (s *Site) Probe(now, start, end period.Time) int {
-	if v := s.view.Load(); v != nil && (now <= v.cal.Now() || s.readsFrozen()) {
-		return v.cal.Available(start, end)
+// viewFor is the read path's one predicate: it returns the published view
+// when that view answers a read of [start, end) at now, with the site clock to
+// report beside the answer, and nil when the read must ride the write queue.
+// A view answers every read at or before its own instant, and every read on
+// a standby or fenced site, whose clock only the replicated stream may move.
+// It also answers at a later now: rotation (§4.1) retires the slots behind
+// now and fills the ones entering the horizon and touches no other, so a
+// window inside both horizons reads the same either side of any clock step
+// (calendar's TestViewAnswersAcrossAdvance) — provided no pending hold's
+// lease lapses on the way, which would be a mutation. The rotation such a
+// probe used to do is left to the write that follows it.
+func (s *Site) viewFor(now, start, end period.Time) (*siteView, period.Time) {
+	v := s.view.Load()
+	if v == nil {
+		return nil, 0
 	}
-	n := 0
-	_ = s.submitWrite(func() error {
-		s.advanceLocked(now)
-		n = s.sched.Available(start, end)
-		return nil
-	})
+	switch vnow := v.cal.Now(); {
+	case now <= vnow || s.readsFrozen():
+		return v, vnow
+	case now < v.leaseDue && start >= now && end <= v.cal.HorizonEnd():
+		return v, now
+	}
+	return nil, 0
+}
+
+// Probe reports how many servers the site could co-allocate over
+// [start, end) as of now, without committing anything; see ProbeView.
+func (s *Site) Probe(now, start, end period.Time) int {
+	n, _, _ := s.ProbeView(now, start, end)
 	return n
 }
 
@@ -524,9 +540,10 @@ func (s *Site) Probe(now, start, end period.Time) int {
 // An answer may be reused for any later probe whose now does not exceed
 // siteNow, for as long as the site keeps reporting the same epoch; the first
 // mutation (or slot rotation) bumps the epoch and retires every answer
-// computed before it. Served lock-free from the published view whenever now
-// does not move the clock; a clock-moving probe rides the write queue and
-// reports the post-advance epoch.
+// computed before it. Served lock-free from the published view, at that
+// view's epoch, whenever viewFor says the view answers it; a probe that
+// crosses a lease expiry, looks past the view's horizon or asks about the
+// past rides the write queue and reports the post-advance epoch.
 func (s *Site) ProbeView(now, start, end period.Time) (n int, epoch uint64, siteNow period.Time) {
 	return s.ProbeViewTraced(obs.SpanContext{}, now, start, end)
 }
@@ -536,7 +553,7 @@ func (s *Site) ProbeView(now, start, end period.Time) (n int, epoch uint64, site
 // view-lookup span stamped with the answering epoch, a clock-moving
 // answer records its admission-queue ride.
 func (s *Site) ProbeViewTraced(tc obs.SpanContext, now, start, end period.Time) (n int, epoch uint64, siteNow period.Time) {
-	if v := s.view.Load(); v != nil && (now <= v.cal.Now() || s.readsFrozen()) {
+	if v, siteNow := s.viewFor(now, start, end); v != nil {
 		// The view lookup is the whole request here, so the fragment is one
 		// span admitted directly — no traceBuf, no handle — stamped with
 		// the epoch of the view that answered. Probes are the federation's
@@ -545,9 +562,9 @@ func (s *Site) ProbeViewTraced(tc obs.SpanContext, now, start, end period.Time) 
 			t0 := time.Now()
 			n = v.cal.Available(start, end)
 			rec.RecordRemoteSpan(tc, "site.probe", t0, time.Now(), v.lookupAttrs...)
-			return n, v.epoch, v.cal.Now()
+			return n, v.epoch, siteNow
 		}
-		return v.cal.Available(start, end), v.epoch, v.cal.Now()
+		return v.cal.Available(start, end), v.epoch, siteNow
 	}
 	sp := s.startSpan(tc, "site.probe")
 	sp.Annotate(slog.Bool("clock_advance", true))
@@ -571,14 +588,14 @@ func (s *Site) RangeSearchView(now, start, end period.Time) (feasible []period.P
 // RangeSearchViewTraced is RangeSearchView as a fragment of the caller's
 // trace, mirroring ProbeViewTraced.
 func (s *Site) RangeSearchViewTraced(tc obs.SpanContext, now, start, end period.Time) (feasible []period.Period, epoch uint64, siteNow period.Time) {
-	if v := s.view.Load(); v != nil && (now <= v.cal.Now() || s.readsFrozen()) {
+	if v, siteNow := s.viewFor(now, start, end); v != nil {
 		if rec := s.recorder.Load(); rec != nil && tc.Valid() {
 			t0 := time.Now()
 			feasible = v.cal.RangeSearch(start, end)
 			rec.RecordRemoteSpan(tc, "site.range", t0, time.Now(), v.lookupAttrs...)
-			return feasible, v.epoch, v.cal.Now()
+			return feasible, v.epoch, siteNow
 		}
-		return v.cal.RangeSearch(start, end), v.epoch, v.cal.Now()
+		return v.cal.RangeSearch(start, end), v.epoch, siteNow
 	}
 	sp := s.startSpan(tc, "site.range")
 	sp.Annotate(slog.Bool("clock_advance", true))
@@ -605,20 +622,11 @@ func (s *Site) Epoch() uint64 {
 }
 
 // RangeSearch returns every idle period feasible for [start, end) as of now
-// without committing anything — the user-facing range search of §4.2,
-// served lock-free from the epoch view whenever now does not move the
-// clock.
+// without committing anything — the user-facing range search of §4.2; see
+// RangeSearchView.
 func (s *Site) RangeSearch(now, start, end period.Time) []period.Period {
-	if v := s.view.Load(); v != nil && (now <= v.cal.Now() || s.readsFrozen()) {
-		return v.cal.RangeSearch(start, end)
-	}
-	var out []period.Period
-	_ = s.submitWrite(func() error {
-		s.advanceLocked(now)
-		out = s.sched.RangeSearch(start, end)
-		return nil
-	})
-	return out
+	feasible, _, _ := s.RangeSearchView(now, start, end)
+	return feasible
 }
 
 // Prepare attempts to reserve `servers` servers over [start, end) under the
@@ -645,7 +653,9 @@ func (s *Site) PrepareTraced(tc obs.SpanContext, now period.Time, holdID string,
 // so the same window may succeed with a different split. A refusal at an
 // unmoved epoch means the probe itself overstated what this exact window
 // can hold (or the caller over-asked) and stays a plain error: retrying
-// without new information cannot help.
+// without new information cannot help. So does a refusal at an epoch only
+// this prepare's own clock step moved: a view-served probe reports the
+// pre-rotation epoch, and a rotation takes no server from anybody.
 func (s *Site) PrepareConflictTraced(tc obs.SpanContext, now period.Time, holdID string, start, end period.Time, servers int, lease period.Duration, probedEpoch uint64) ([]int, error) {
 	if holdID == "" || servers <= 0 || end <= start || lease <= 0 {
 		return nil, fmt.Errorf("grid %s: invalid prepare (hold %q, %d servers, [%d,%d), lease %d)",
@@ -655,6 +665,9 @@ func (s *Site) PrepareConflictTraced(tc obs.SpanContext, now period.Time, holdID
 	sp.Annotate(slog.String("hold", holdID), slog.Int("servers", servers))
 	var granted []int
 	err := s.submitWriteTraced(sp, func() error {
+		// What the probe saw is what this prepare finds, unless the epoch
+		// moved before it arrived or its own clock step expires a lease.
+		arrived, expired := s.epochSalt+s.sched.MutationEpoch(), s.expired
 		if err := s.admitLocked(now); err != nil {
 			return err
 		}
@@ -675,10 +688,8 @@ func (s *Site) PrepareConflictTraced(tc obs.SpanContext, now period.Time, holdID
 			Deadline: end, // forbid the scheduler from sliding the start
 		})
 		if err != nil {
-			if probedEpoch != 0 && errors.Is(err, core.ErrRejected) {
-				if cur := s.epochSalt + s.sched.MutationEpoch(); cur != probedEpoch {
-					return &ConflictError{Site: s.name, Epoch: cur, Err: err}
-				}
+			if probedEpoch != 0 && (arrived != probedEpoch || s.expired != expired) && errors.Is(err, core.ErrRejected) {
+				return &ConflictError{Site: s.name, Epoch: s.epochSalt + s.sched.MutationEpoch(), Err: err}
 			}
 			return fmt.Errorf("grid %s: cannot prepare %d servers at [%d,%d): %w", s.name, servers, start, end, err)
 		}
