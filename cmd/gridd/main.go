@@ -4,10 +4,10 @@
 //
 //	gridd -name site-a -listen 127.0.0.1:7001 -servers 64
 //
-// -backend selects the availability index the scheduler answers from: the
-// default flat sorted-slot backend ("flat") or the paper's 2-D tree
-// ("dtree"). Both honor the same contract (DESIGN.md §15); snapshots and
-// WALs record which backend wrote them and restore onto the same one.
+// A new site answers from calendar.DefaultBackend, the flat sorted-slot
+// index. Snapshots and WALs record which backend wrote them and restore onto
+// the same one, so a site first built on the paper's 2-D tree ("dtree")
+// stays on it across restarts (DESIGN.md §15).
 //
 // With -wal the site journals every state mutation to a write-ahead log
 // before acknowledging it, checkpoints periodically (and on shutdown), and
@@ -62,7 +62,6 @@ import (
 	"syscall"
 	"time"
 
-	"coalloc/internal/calendar"
 	"coalloc/internal/core"
 	"coalloc/internal/grid"
 	"coalloc/internal/obs"
@@ -81,7 +80,6 @@ func main() {
 		name         = flag.String("name", "site", "site name (must be unique within a federation)")
 		listen       = flag.String("listen", "127.0.0.1:7001", "listen address")
 		servers      = flag.Int("servers", 64, "number of servers at this site")
-		backend      = flag.String("backend", "", "availability backend: "+strings.Join(calendar.Backends(), ", ")+" (empty: "+calendar.DefaultBackend+")")
 		tauMin       = flag.Int("tau", 15, "slot size tau in minutes")
 		horizonHours = flag.Int("horizon", 168, "scheduling horizon in hours")
 		now          = flag.Int64("now", 0, "initial simulation time in seconds")
@@ -121,7 +119,7 @@ func main() {
 	}
 
 	fresh := func() (*grid.Site, error) {
-		return loadOrCreateSite(*snapshot, *name, *backend, *servers, *tauMin, *horizonHours, *now)
+		return loadOrCreateSite(*snapshot, *name, *servers, *tauMin, *horizonHours, *now)
 	}
 	var (
 		site *grid.Site
@@ -397,14 +395,14 @@ func autoCheckpoint(ckpt func() error, every time.Duration, stop <-chan struct{}
 	}
 }
 
-func loadOrCreateSite(path, name, backend string, servers, tauMin, horizonHours int, now int64) (*grid.Site, error) {
+func loadOrCreateSite(path, name string, servers, tauMin, horizonHours int, now int64) (*grid.Site, error) {
 	if path != "" {
 		f, err := os.Open(path)
 		switch {
 		case err == nil:
 			defer f.Close()
-			// A snapshot carries its own backend name; -backend only picks the
-			// index for a site built from scratch.
+			// A snapshot carries its own backend name; only a site built
+			// from scratch gets the default.
 			site, err := grid.RestoreSite(f)
 			if err != nil {
 				return nil, err
@@ -418,7 +416,6 @@ func loadOrCreateSite(path, name, backend string, servers, tauMin, horizonHours 
 	tau := period.Duration(tauMin) * period.Minute
 	return grid.NewSite(name, core.Config{
 		Servers:  servers,
-		Backend:  backend,
 		SlotSize: tau,
 		Slots:    int(period.Duration(horizonHours) * period.Hour / tau),
 	}, period.Time(now))

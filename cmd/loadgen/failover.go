@@ -1,15 +1,13 @@
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
-	"net"
 	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"coalloc/internal/core"
 	"coalloc/internal/faultnet"
 	"coalloc/internal/grid"
 	"coalloc/internal/obs"
@@ -21,16 +19,21 @@ import (
 
 // failoverPhase measures one run of the failover benchmark.
 type failoverPhase struct {
-	Phase     string  `json:"phase"` // "steady" or "failover"
-	Seconds   float64 `json:"seconds"`
-	Grants    int64   `json:"grants"`
+	Phase   string  `json:"phase"` // "steady" or "failover"
+	Seconds float64 `json:"seconds"`
+	Grants  int64   `json:"grants"`
+	// Errors counts requests that failed for any reason but capacity: the
+	// burst while the breaker counts down. Refused counts capacity
+	// refusals, which the workload is sized never to cause.
 	Errors    int64   `json:"errors"`
+	Refused   int64   `json:"refused"`
 	GrantRate float64 `json:"grantsPerSec"`
 	GrantP50  float64 `json:"grantP50Micros"`
 	GrantP99  float64 `json:"grantP99Micros"`
 	Failovers uint64  `json:"failovers"`
 	// RecoveryMillis is the gap between cutting the primary's network and
-	// the first grant served by the promoted standby; 0 in the steady phase.
+	// the completion of the first grant issued after the cut; 0 in the
+	// steady phase.
 	RecoveryMillis float64 `json:"recoveryMillis"`
 	// LostAcked counts granted holds missing from the serving site after
 	// the run — the zero-loss invariant; anything but 0 is a bug.
@@ -51,11 +54,7 @@ type failoverResult struct {
 // proxy and a streaming standby, dialed through a FailoverConn.
 type haFixture struct {
 	primarySite *grid.Site
-	primary     *replica.Primary
-	plog        *wal.Log
-	psrv        *wire.Server
 	proxy       *faultnet.Proxy
-	ssrv        *wire.Server
 	standby     *replica.Standby
 	closers     []func()
 	fc          *grid.FailoverConn
@@ -72,13 +71,7 @@ func (f *haFixture) close() {
 func startHAFixture(servers int, slotSize int64, slots int, seed int64, callTimeout time.Duration) (*haFixture, error) {
 	f := &haFixture{reg: obs.NewRegistry()}
 	fail := func(err error) (*haFixture, error) { f.close(); return nil, err }
-	fresh := func() (*grid.Site, error) {
-		return grid.NewSite("ha", core.Config{
-			Servers:  servers,
-			SlotSize: period.Duration(slotSize),
-			Slots:    slots,
-		}, 0)
-	}
+	fresh := func() (*grid.Site, error) { return newSite("ha", servers, slotSize, slots) }
 
 	sdir, err := os.MkdirTemp("", "loadgen-sb-*")
 	if err != nil {
@@ -99,66 +92,51 @@ func startHAFixture(servers int, slotSize int64, slots int, seed int64, callTime
 		return fail(err)
 	}
 	f.closers = append(f.closers, func() { f.standby.Close() })
-	f.ssrv, err = wire.NewServer(f.standby.Site())
+	saddr, stop, err := serveSite(f.standby.Site(), f.standby)
 	if err != nil {
 		return fail(err)
 	}
-	if err := f.ssrv.EnableReplication(f.standby); err != nil {
-		return fail(err)
-	}
-	sl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return fail(err)
-	}
-	go f.ssrv.Serve(sl)
-	f.closers = append(f.closers, func() { f.ssrv.Close() })
+	f.closers = append(f.closers, stop)
 
 	pdir, err := os.MkdirTemp("", "loadgen-pri-*")
 	if err != nil {
 		return fail(err)
 	}
 	f.closers = append(f.closers, func() { os.RemoveAll(pdir) })
-	var rec *wal.Recovery
-	f.plog, rec, err = wal.Open(pdir, walOpts)
+	plog, rec, err := wal.Open(pdir, walOpts)
 	if err != nil {
 		return fail(err)
 	}
-	f.closers = append(f.closers, func() { f.plog.Close() })
+	f.closers = append(f.closers, func() { plog.Close() })
 	f.primarySite, _, err = grid.RecoverSite(rec.Checkpoint, rec.Records, fresh)
 	if err != nil {
 		return fail(err)
 	}
-	f.primary, err = replica.NewPrimary(replica.PrimaryConfig{
-		Site: f.primarySite, Log: f.plog, Dir: pdir,
+	primary, err := replica.NewPrimary(replica.PrimaryConfig{
+		Site: f.primarySite, Log: plog, Dir: pdir,
 		Mode: replica.SemiSync, AckTimeout: -1,
 		Registry: f.reg,
 	})
 	if err != nil {
 		return fail(err)
 	}
-	f.closers = append(f.closers, f.primary.Close)
-	streamCli, err := wire.DialReplica("tcp", sl.Addr().String(), wire.ClientConfig{
-		DialTimeout: 2 * time.Second, CallTimeout: 2 * time.Second,
-	})
+	f.closers = append(f.closers, primary.Close)
+	replCfg := wire.ClientConfig{DialTimeout: 2 * time.Second, CallTimeout: 2 * time.Second}
+	streamCli, err := wire.DialReplica("tcp", saddr, replCfg)
 	if err != nil {
 		return fail(err)
 	}
 	f.closers = append(f.closers, func() { streamCli.Close() })
-	if err := f.primary.AddReplica("sb", streamCli); err != nil {
+	if err := primary.AddReplica("sb", streamCli); err != nil {
 		return fail(err)
 	}
 
-	f.psrv, err = wire.NewServer(f.primarySite)
+	paddr, stop, err := serveSite(f.primarySite, nil)
 	if err != nil {
 		return fail(err)
 	}
-	pl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return fail(err)
-	}
-	go f.psrv.Serve(pl)
-	f.closers = append(f.closers, func() { f.psrv.Close() })
-	f.proxy, err = faultnet.Listen(pl.Addr().String(), seed)
+	f.closers = append(f.closers, stop)
+	f.proxy, err = faultnet.Listen(paddr, seed)
 	if err != nil {
 		return fail(err)
 	}
@@ -170,14 +148,12 @@ func startHAFixture(servers int, slotSize int64, slots int, seed int64, callTime
 		return fail(err)
 	}
 	f.closers = append(f.closers, func() { primaryCli.Close() })
-	standbyCli, err := wire.DialConfig("tcp", sl.Addr().String(), cfg)
+	standbyCli, err := wire.DialConfig("tcp", saddr, cfg)
 	if err != nil {
 		return fail(err)
 	}
 	f.closers = append(f.closers, func() { standbyCli.Close() })
-	promoter, err := wire.DialReplica("tcp", sl.Addr().String(), wire.ClientConfig{
-		DialTimeout: 2 * time.Second, CallTimeout: 2 * time.Second,
-	})
+	promoter, err := wire.DialReplica("tcp", saddr, replCfg)
 	if err != nil {
 		return fail(err)
 	}
@@ -190,7 +166,13 @@ func startHAFixture(servers int, slotSize int64, slots int, seed int64, callTime
 // runFailoverPhase drives closed-loop CoAllocate clients against the
 // replicated site. With storm set, the primary's network hangs at half
 // time and the phase measures the automatic promotion.
-func runFailoverPhase(phase string, servers int, slotSize int64, slots, clients int, dur, callTimeout time.Duration, seed int64, storm bool) (failoverPhase, error) {
+//
+// Requests walk the windows of the first half of the horizon round-robin.
+// Every 8th round through them keeps its grants committed for the zero-loss
+// audit, up to half the capacity a window has left beside one in-flight
+// grant per client; every other grant is released at once. So capacity
+// never binds, and a refusal is a bug in the workload, not load.
+func runFailoverPhase(servers int, slotSize int64, slots, clients int, dur, callTimeout time.Duration, seed int64, storm bool) (failoverPhase, error) {
 	f, err := startHAFixture(servers, slotSize, slots, seed, callTimeout)
 	if err != nil {
 		return failoverPhase{}, err
@@ -210,52 +192,52 @@ func runFailoverPhase(phase string, servers int, slotSize int64, slots, clients 
 	}
 
 	var (
-		grants, errs int64
-		next         atomic.Int64 // distinct windows, so capacity never binds
-		stop         atomic.Bool
-		lat          = &sampler{}
-		mu           sync.Mutex
-		granted      []string
-		cutAt        atomic.Int64 // unix nanos when the primary was cut
-		recoveredAt  atomic.Int64 // unix nanos of the first grant after the cut
+		grants, errs, refused atomic.Int64
+		next                  atomic.Int64
+		stop                  atomic.Bool
+		lat                   = &sampler{}
+		mu                    sync.Mutex
+		granted               []string
+		cutAt                 atomic.Int64 // unix nanos when the primary was cut
+		recoveredAt           atomic.Int64 // unix nanos of the first grant issued after the cut
 	)
-	span := int64(slots) * slotSize / 2 // stay inside the scheduling horizon
+	windows := int64(slots / 2) // stay inside the scheduling horizon
+	keepRounds := int64(max(servers-clients, 0) / 2)
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var n, e int64
-			var ids []string
 			for !stop.Load() {
 				i := next.Add(1)
-				start := period.Time((i * slotSize) % span)
+				round := i / windows
+				start := period.Time((i % windows) * slotSize)
+				end := start.Add(period.Duration(slotSize))
 				t0 := time.Now()
-				alloc, err := br.CoAllocate(0, grid.Request{
-					ID: i, Start: start, Duration: period.Duration(slotSize), Servers: 1,
-				})
+				alloc, err := br.CoAllocate(0, grid.Request{ID: i, Start: start, Duration: period.Duration(slotSize), Servers: 1})
 				if err != nil {
-					e++
+					// A prepare that timed out also ends as ErrNoCapacity; only
+					// a window a probe then finds full is a refusal.
+					if errors.Is(err, grid.ErrNoCapacity) && windowFull(f.fc, start, end) {
+						refused.Add(1)
+					} else {
+						errs.Add(1)
+					}
 					continue
 				}
 				lat.observe(time.Since(t0))
-				n++
-				if cutAt.Load() != 0 {
+				grants.Add(1)
+				if cut := cutAt.Load(); cut != 0 && t0.UnixNano() > cut {
 					recoveredAt.CompareAndSwap(0, time.Now().UnixNano())
 				}
-				// Keep every 8th grant committed for the zero-loss audit;
-				// release the rest so capacity never binds the measurement.
-				if i%8 == 0 {
-					ids = append(ids, alloc.HoldID)
+				if round%8 == 0 && round/8 < keepRounds {
+					mu.Lock()
+					granted = append(granted, alloc.HoldID)
+					mu.Unlock()
 				} else {
 					f.fc.Abort(0, alloc.HoldID)
 				}
 			}
-			atomic.AddInt64(&grants, n)
-			atomic.AddInt64(&errs, e)
-			mu.Lock()
-			granted = append(granted, ids...)
-			mu.Unlock()
 		}()
 	}
 
@@ -286,15 +268,19 @@ func runFailoverPhase(phase string, servers int, slotSize int64, slots, clients 
 	}
 
 	p := failoverPhase{
-		Phase:     phase,
+		Phase:     "steady",
 		Seconds:   elapsed,
-		Grants:    grants,
-		Errors:    errs,
-		GrantRate: float64(grants) / elapsed,
+		Grants:    grants.Load(),
+		Errors:    errs.Load(),
+		Refused:   refused.Load(),
+		GrantRate: float64(grants.Load()) / elapsed,
 		GrantP50:  lat.percentile(0.50),
 		GrantP99:  lat.percentile(0.99),
 		Failovers: f.reg.Counter("broker.site.failovers").Value(),
 		LostAcked: lost,
+	}
+	if storm {
+		p.Phase = "failover"
 	}
 	if cut, rec := cutAt.Load(), recoveredAt.Load(); cut != 0 && rec > cut {
 		p.RecoveryMillis = float64(rec-cut) / float64(time.Millisecond)
@@ -305,11 +291,17 @@ func runFailoverPhase(phase string, servers int, slotSize int64, slots, clients 
 	return p, nil
 }
 
-// failoverMain implements -mode failover: the same closed-loop write
+// windowFull reports whether a probe finds no free server in the window.
+func windowFull(c grid.Conn, start, end period.Time) bool {
+	p, err := c.Probe(0, start, end)
+	return err == nil && p.Available == 0
+}
+
+// runFailover implements -mode failover: the same closed-loop write
 // workload against a replicated site, once undisturbed and once with the
 // primary killed at half time, so the report shows what a failover costs
 // (recovery gap, error burst) and what it preserves (every acked grant).
-func failoverMain(servers int, slotSize int64, slots, clients int, dur, callTimeout time.Duration, seed int64, out string) {
+func runFailover(servers int, slotSize int64, slots, clients int, dur, callTimeout time.Duration, seed int64) (failoverResult, error) {
 	res := failoverResult{
 		Mode:        "failover",
 		Servers:     servers,
@@ -318,31 +310,13 @@ func failoverMain(servers int, slotSize int64, slots, clients int, dur, callTime
 		CallTimeout: callTimeout.String(),
 	}
 	for _, storm := range []bool{false, true} {
-		phase := "steady"
-		if storm {
-			phase = "failover"
-		}
-		p, err := runFailoverPhase(phase, servers, slotSize, slots, clients, dur, callTimeout, seed, storm)
+		p, err := runFailoverPhase(servers, slotSize, slots, clients, dur, callTimeout, seed, storm)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "loadgen:", err)
-			os.Exit(1)
+			return res, err
 		}
 		res.Phases = append(res.Phases, p)
-		fmt.Fprintf(os.Stderr, "failover %-8s clients=%d grants=%.0f/s (p99 %.0fus) errors=%d failovers=%d recovery=%.0fms lost=%d\n",
-			phase, clients, p.GrantRate, p.GrantP99, p.Errors, p.Failovers, p.RecoveryMillis, p.LostAcked)
+		fmt.Fprintf(os.Stderr, "failover %-8s clients=%d grants=%.0f/s (p99 %.0fus) errors=%d refused=%d failovers=%d recovery=%.0fms lost=%d\n",
+			p.Phase, clients, p.GrantRate, p.GrantP99, p.Errors, p.Refused, p.Failovers, p.RecoveryMillis, p.LostAcked)
 	}
-	enc, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "loadgen:", err)
-		os.Exit(1)
-	}
-	enc = append(enc, '\n')
-	if out == "" {
-		os.Stdout.Write(enc)
-		return
-	}
-	if err := os.WriteFile(out, enc, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "loadgen:", err)
-		os.Exit(1)
-	}
+	return res, nil
 }

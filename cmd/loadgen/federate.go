@@ -1,29 +1,13 @@
 package main
 
-// -mode federate measures multi-broker contention: N brokers — each with
-// its own availability cache and affinity offset — run closed-loop
-// co-allocate/release workloads against one shared three-site TCP
-// federation, all drawing windows from the same small pool so prepares
-// routinely lose the optimistic-concurrency race. Every broker count runs
-// twice, with the same-window conflict retry on and off, and the report
-// compares conflict rate, goodput, tail latency, and the
-// conflict-abandonment rate (the fraction of conflicted windows that still
-// failed): the retry path exists to keep that last number down without
-// burning Δt ladder rungs.
-
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"net"
 	"os"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"coalloc/internal/core"
 	"coalloc/internal/grid"
 	"coalloc/internal/period"
 	"coalloc/internal/wire"
@@ -61,70 +45,36 @@ type federateResult struct {
 	Points  []federatePoint `json:"points"`
 }
 
-// startFederation boots the shared TCP sites and returns a dialer for
-// per-broker connections plus a teardown func.
-func startFederation(tag string, servers int, slotSize int64, slots int, cfg wire.ClientConfig) (dial func() ([]grid.Conn, error), stop func(), err error) {
-	var srvs []*wire.Server
-	var addrs []string
-	var clients []*wire.Client
-	var mu sync.Mutex
+// startFederation serves the shared sites over loopback TCP and returns
+// their addresses plus a teardown func.
+func startFederation(tag string, servers int, slotSize int64, slots int) (addrs []string, stop func(), err error) {
+	var stops []func()
 	stop = func() {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, c := range clients {
-			c.Close()
-		}
-		for _, s := range srvs {
-			s.Close()
+		for _, s := range stops {
+			s()
 		}
 	}
 	for i := 0; i < federateSites; i++ {
-		site, err := grid.NewSite(fmt.Sprintf("%s-s%d", tag, i), core.Config{
-			Servers:  servers,
-			SlotSize: period.Duration(slotSize),
-			Slots:    slots,
-		}, 0)
+		site, err := newSite(fmt.Sprintf("%s-s%d", tag, i), servers, slotSize, slots)
 		if err != nil {
 			stop()
 			return nil, nil, err
 		}
-		srv, err := wire.NewServer(site)
+		addr, stopSrv, err := serveSite(site, nil)
 		if err != nil {
 			stop()
 			return nil, nil, err
 		}
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			srv.Close()
-			stop()
-			return nil, nil, err
-		}
-		go srv.Serve(l)
-		srvs = append(srvs, srv)
-		addrs = append(addrs, l.Addr().String())
+		stops = append(stops, stopSrv)
+		addrs = append(addrs, addr)
 	}
-	dial = func() ([]grid.Conn, error) {
-		conns := make([]grid.Conn, len(addrs))
-		for i, addr := range addrs {
-			c, err := wire.DialConfig("tcp", addr, cfg)
-			if err != nil {
-				return nil, err
-			}
-			mu.Lock()
-			clients = append(clients, c)
-			mu.Unlock()
-			conns[i] = c
-		}
-		return conns, nil
-	}
-	return dial, stop, nil
+	return addrs, stop, nil
 }
 
 // runFederatePoint drives one broker count in one retry mode against a
 // fresh federation for dur.
 func runFederatePoint(nBrokers int, retry bool, servers int, slotSize int64, slots int, dur, callTimeout time.Duration) (federatePoint, error) {
-	cfg := wire.ClientConfig{DialTimeout: callTimeout, CallTimeout: callTimeout}
-	dial, stop, err := startFederation(fmt.Sprintf("fed-n%d-r%v", nBrokers, retry), servers, slotSize, slots, cfg)
+	addrs, stop, err := startFederation(fmt.Sprintf("fed-n%d-r%v", nBrokers, retry), servers, slotSize, slots)
 	if err != nil {
 		return federatePoint{}, err
 	}
@@ -135,11 +85,18 @@ func runFederatePoint(nBrokers int, retry bool, servers int, slotSize int64, slo
 		conflictRetries = -1
 	}
 	brokers := make([]*grid.Broker, nBrokers)
+	cfg := wire.ClientConfig{DialTimeout: callTimeout, CallTimeout: callTimeout}
 	for i := range brokers {
-		conns, err := dial()
-		if err != nil {
-			return federatePoint{}, err
+		conns := make([]grid.Conn, len(addrs))
+		for j, addr := range addrs {
+			c, err := wire.DialConfig("tcp", addr, cfg)
+			if err != nil {
+				return federatePoint{}, err
+			}
+			defer c.Close()
+			conns[j] = c
 		}
+		var err error
 		brokers[i], err = grid.NewBroker(grid.BrokerConfig{
 			Name:             fmt.Sprintf("b%02d", i),
 			MaxAttempts:      4,
@@ -230,38 +187,20 @@ func runFederatePoint(nBrokers int, retry bool, servers int, slotSize int64, slo
 	return p, nil
 }
 
-// federateMain implements -mode federate and prints the result as JSON.
-func federateMain(servers int, slotSize int64, slots int, brokersFlag string, dur, callTimeout time.Duration, out string) {
+// runFederate implements -mode federate: every broker count with the
+// conflict retry on, then off.
+func runFederate(servers int, slotSize int64, slots int, brokers []int, dur, callTimeout time.Duration) (federateResult, error) {
 	res := federateResult{Mode: "federate", Servers: servers, Sites: federateSites}
-	for _, f := range strings.Split(brokersFlag, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			fmt.Fprintf(os.Stderr, "loadgen: bad broker count %q\n", f)
-			os.Exit(2)
-		}
+	for _, n := range brokers {
 		for _, retry := range []bool{true, false} {
 			p, err := runFederatePoint(n, retry, servers, slotSize, slots, dur, callTimeout)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "loadgen:", err)
-				os.Exit(1)
+				return res, err
 			}
 			res.Points = append(res.Points, p)
 			fmt.Fprintf(os.Stderr, "federate brokers=%d retry=%-5v goodput=%.0f/s p99=%.0fus conflicts=%d windows=%d saved=%d abandonment=%.2f\n",
 				n, retry, p.GoodputPerSec, p.P99Micros, p.Conflicts, p.ConflictWindows, p.ConflictWindowSaved, p.AbandonmentRate)
 		}
 	}
-	enc, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "loadgen:", err)
-		os.Exit(1)
-	}
-	enc = append(enc, '\n')
-	if out == "" {
-		os.Stdout.Write(enc)
-		return
-	}
-	if err := os.WriteFile(out, enc, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "loadgen:", err)
-		os.Exit(1)
-	}
+	return res, nil
 }

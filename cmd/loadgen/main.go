@@ -1,63 +1,19 @@
-// Command loadgen drives a closed-loop synthetic workload against one
-// in-process grid site and reports throughput and latency per client count,
-// as JSON. It is the benchmark harness behind the read/write-path split:
+// Command loadgen runs the three closed-loop scenarios the benchmark harness
+// (bench/run.sh) does not: each boots its own loopback TCP sites, drives
+// them for -duration, and reports the run as JSON.
 //
-//	loadgen -mode probe               # lock-free read path under fan-out
-//	loadgen -mode mixed -wal /tmp/j   # probes racing fsync-backed writers
-//	loadgen -mode write -wal /tmp/j   # group-commit write throughput
-//	loadgen -mode chaos               # broker over TCP with one site hung
-//	loadgen -mode cache               # availability cache vs raw RPC probes
-//	loadgen -mode trace-overhead      # always-on flight recorder vs tracing off
 //	loadgen -mode failover            # replicated site losing its primary mid-run
 //	loadgen -mode stale               # passive vs push-invalidated cache staleness
 //	loadgen -mode federate            # N contending brokers, conflict retry on vs off
-//	loadgen -mode backends            # availability backends raced head to head over TCP
-//
-// -mode chaos boots a three-site federation over loopback TCP behind
-// internal/faultnet proxies, runs closed-loop broker probes healthy for half
-// of -duration, hangs one site mid-RPC for the other half, and reports both
-// phases side by side: the degraded numbers show the cost of the per-call
-// timeout and the breaker's fail-fast, not an unbounded stall.
-//
-// -mode cache boots a three-site federation over loopback TCP and runs the
-// same repeat-heavy closed-loop probe workload (clients cycling through
-// -cache-windows distinct windows, the shape of a Δt retry ladder) twice:
-// against an uncached broker and against one with the epoch-keyed
-// availability cache on. The report shows both phases' throughput and
-// latency plus the cached phase's hit rate and the overall speedup.
-//
-// -mode trace-overhead boots the same three-site TCP federation and runs the
-// closed-loop ProbeAll workload with tracing disabled end to end (NoTrace
-// broker, recorder-less sites) and with the default always-on flight
-// recorder capturing every request's spans on both sides of the wire. The
-// two configurations alternate over five rounds and the report compares
-// median throughput, so host noise biases neither side. The report's
-// overheadPercent is the throughput the recorder costs; the always-on
-// design budget is 5%.
 //
 // -mode failover boots one replicated site — a semi-sync primary behind a
-// faultnet proxy streaming its WAL to a standby — and runs a closed-loop
-// co-allocation (write) workload twice: once undisturbed, and once with the
-// primary's network hung at half time so the broker's breaker opens and
-// promotes the standby automatically. The report shows the failover's cost
-// (recovery gap in milliseconds, the error burst while the breaker counts
-// down) and what it preserves: lostAcked audits every acknowledged grant
-// against the promoted node and must be 0.
-//
-// -mode federate boots one shared three-site TCP federation and runs -brokers
-// contending brokers against it, each a closed-loop co-allocate/release
-// client drawing from a small shared window pool so prepares routinely lose
-// the optimistic-concurrency race. Every broker count runs with the
-// same-window conflict retry on and off; the report compares conflict rate,
-// goodput, p99, and the conflict-abandonment rate the retry path exists to
-// reduce.
-//
-// -mode backends races every registered availability backend through the
-// same seeded workload end to end: per backend, one fresh site behind a real
-// wire server on loopback TCP, a closed-loop probe phase (read path) and a
-// closed-loop prepare/abort phase (write path). The report carries per-phase
-// rates and latency percentiles for each backend plus the flat/dtree rate
-// ratios, so index regressions show up as a number, not a feeling.
+// faultnet proxy streaming its WAL to a standby — and runs -clients
+// closed-loop co-allocation (write) clients twice: once undisturbed, and
+// once with the primary's network hung at half time so the broker's breaker
+// opens and promotes the standby automatically. The report shows the
+// failover's cost (recovery gap in milliseconds, the error burst while the
+// breaker counts down) and what it preserves: lostAcked audits every
+// acknowledged grant against the promoted node and must be 0.
 //
 // -mode stale times the stale-cache window itself: a second broker mutates a
 // window the first broker has cached, every -mutate-every, and the run
@@ -66,19 +22,25 @@
 // bump. It also compares the Δt ladder's probe round trips with the batched
 // probe RPC off and on.
 //
-// Each mode runs the client counts given by -clients back to back against a
-// fresh seeded site, so the numbers across counts are comparable. The
-// workload is closed-loop: every client issues its next operation as soon
-// as the previous one returns, so throughput reflects service time, not an
-// offered-load schedule.
+// -mode federate boots one shared three-site TCP federation and runs -brokers
+// contending brokers against it, each a closed-loop co-allocate/release
+// client with its own availability cache, drawing from a small shared window
+// pool so prepares routinely lose the optimistic-concurrency race. Every
+// broker count runs with the same-window conflict retry on and off; the
+// report compares conflict rate, goodput, p99, and the conflict-abandonment
+// rate the retry path exists to reduce without burning Δt ladder rungs.
+//
+// The workloads are closed-loop: every client issues its next operation as
+// soon as the previous one returns, so throughput reflects service time, not
+// an offered-load schedule.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"net"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -89,32 +51,8 @@ import (
 	"coalloc/internal/core"
 	"coalloc/internal/grid"
 	"coalloc/internal/period"
-	"coalloc/internal/wal"
+	"coalloc/internal/wire"
 )
-
-// point is the measurement for one client count.
-type point struct {
-	Clients   int     `json:"clients"`
-	Readers   int     `json:"readers"`
-	Writers   int     `json:"writers"`
-	Seconds   float64 `json:"seconds"`
-	ProbeOps  int64   `json:"probeOps"`
-	WriteOps  int64   `json:"writeOps"`
-	ProbeRate float64 `json:"probeOpsPerSec"`
-	WriteRate float64 `json:"writeOpsPerSec"`
-	ProbeP50  float64 `json:"probeP50Micros"`
-	ProbeP99  float64 `json:"probeP99Micros"`
-	WriteP50  float64 `json:"writeP50Micros"`
-	WriteP99  float64 `json:"writeP99Micros"`
-}
-
-// result is the whole run.
-type result struct {
-	Mode    string  `json:"mode"`
-	Servers int     `json:"servers"`
-	WAL     bool    `json:"wal"`
-	Points  []point `json:"points"`
-}
 
 // sampler keeps a bounded latency sample per class; closed-loop clients can
 // push hundreds of thousands of ops per point, so it records every 8th.
@@ -144,206 +82,106 @@ func (s *sampler) percentile(p float64) float64 {
 	return float64(s.taken[i]) / float64(time.Microsecond)
 }
 
-// seedSite builds a site with a spread of committed reservations so probe
-// searches traverse non-trivial slot indexes, mirroring internal/grid's
-// benchmark fixture.
-func seedSite(name string, servers int, slotSize int64, slots int) (*grid.Site, error) {
-	return seedSiteBackend(name, "", servers, slotSize, slots)
-}
-
-// seedSiteBackend is seedSite on an explicit availability backend; the
-// backends mode uses it to build identical fixtures on every index.
-func seedSiteBackend(name, backend string, servers int, slotSize int64, slots int) (*grid.Site, error) {
-	s, err := grid.NewSite(name, core.Config{
+// newSite builds an empty site whose clock starts at 0.
+func newSite(name string, servers int, slotSize int64, slots int) (*grid.Site, error) {
+	return grid.NewSite(name, core.Config{
 		Servers:  servers,
-		Backend:  backend,
 		SlotSize: period.Duration(slotSize),
 		Slots:    slots,
 	}, 0)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < 2*servers; i++ {
-		id := fmt.Sprintf("seed-%d", i)
-		start := period.Time(int64(i%24)*int64(period.Hour) + int64(15*period.Minute))
-		end := start.Add(2 * period.Hour)
-		if _, err := s.Prepare(0, id, start, end, 1+i%3, 24*period.Hour); err != nil {
-			continue
-		}
-		if err := s.Commit(0, id); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
 }
 
-func runPoint(mode, backend string, servers int, slotSize int64, slots int, walDir string, clients int, dur time.Duration) (point, error) {
-	site, err := seedSiteBackend("loadgen", backend, servers, slotSize, slots)
+// serveSite serves site over loopback TCP and returns its address and a
+// stop func that closes the listener. A non-nil repl also answers the
+// replication service, as a standby must.
+func serveSite(site *grid.Site, repl wire.ReplicaHandler) (addr string, stop func(), err error) {
+	srv, err := wire.NewServer(site)
 	if err != nil {
-		return point{}, err
+		return "", nil, err
 	}
-	if walDir != "" {
-		dir := filepath.Join(walDir, fmt.Sprintf("%s-c%d", mode, clients))
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return point{}, err
-		}
-		wlog, _, err := wal.Open(dir, wal.Options{SegmentSize: 4 << 20, Sync: wal.SyncAlways})
-		if err != nil {
-			return point{}, err
-		}
-		defer wlog.Close()
-		site.AttachWAL(wlog)
-	}
-
-	readers, writers := clients, 0
-	switch mode {
-	case "write":
-		readers, writers = 0, clients
-	case "mixed":
-		writers = (clients + 1) / 2
-		readers = clients - writers
-		if clients > 1 && readers == 0 {
-			readers = 1
-			writers = clients - 1
+	if repl != nil {
+		if err := srv.EnableReplication(repl); err != nil {
+			return "", nil, err
 		}
 	}
-
-	window := period.Time(int64(period.Hour))
-	windowEnd := window.Add(period.Hour)
-	var probeOps, writeOps int64
-	probeLat, writeLat := &sampler{}, &sampler{}
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var ops int64
-			for !stop.Load() {
-				t0 := time.Now()
-				site.Probe(0, window, windowEnd)
-				probeLat.observe(time.Since(t0))
-				ops++
-			}
-			atomic.AddInt64(&probeOps, ops)
-		}()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", nil, err
 	}
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var ops int64
-			for i := 0; !stop.Load(); i++ {
-				id := fmt.Sprintf("w%d-%d", w, i)
-				t0 := time.Now()
-				if _, err := site.Prepare(0, id, window, windowEnd, 1, period.Hour); err != nil {
-					continue
-				}
-				if err := site.Abort(0, id); err != nil {
-					return
-				}
-				writeLat.observe(time.Since(t0))
-				ops++
-			}
-			atomic.AddInt64(&writeOps, ops)
-		}(w)
+	go srv.Serve(l)
+	return l.Addr().String(), func() { l.Close() }, nil
+}
+
+// writeJSON writes v, indented, to the file out, or to stdout when out is
+// empty.
+func writeJSON(out string, v any) error {
+	enc, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
 	}
+	enc = append(enc, '\n')
+	if out == "" {
+		_, err = os.Stdout.Write(enc)
+		return err
+	}
+	return os.WriteFile(out, enc, 0o644)
+}
 
-	t0 := time.Now()
-	time.Sleep(dur)
-	stop.Store(true)
-	wg.Wait()
-	elapsed := time.Since(t0).Seconds()
-
-	return point{
-		Clients:   clients,
-		Readers:   readers,
-		Writers:   writers,
-		Seconds:   elapsed,
-		ProbeOps:  probeOps,
-		WriteOps:  writeOps,
-		ProbeRate: float64(probeOps) / elapsed,
-		WriteRate: float64(writeOps) / elapsed,
-		ProbeP50:  probeLat.percentile(0.50),
-		ProbeP99:  probeLat.percentile(0.99),
-		WriteP50:  writeLat.percentile(0.50),
-		WriteP99:  writeLat.percentile(0.99),
-	}, nil
+// parseCounts parses a comma-separated list of positive counts.
+func parseCounts(list string) ([]int, error) {
+	var ns []int
+	for _, f := range strings.Split(list, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil || n < 1 {
+			return nil, fmt.Errorf("bad count %q", f)
+		}
+		ns = append(ns, n)
+	}
+	return ns, nil
 }
 
 func main() {
 	servers := flag.Int("servers", 64, "servers per site")
 	slotSize := flag.Int64("tau", 900, "slot size in seconds (the paper's tau)")
 	slots := flag.Int("slots", 96, "calendar slots")
-	clientsFlag := flag.String("clients", "1,2,4,8,16", "comma-separated client counts")
-	dur := flag.Duration("duration", 2*time.Second, "measurement window per client count")
-	mode := flag.String("mode", "probe", "workload: probe, mixed, write, chaos, cache, trace-overhead, failover, stale, federate, or backends")
-	backend := flag.String("backend", "", "availability backend for probe/mixed/write (empty: default; -mode backends races them all)")
-	walDir := flag.String("wal", "", "journal directory (empty = no WAL)")
+	dur := flag.Duration("duration", 2*time.Second, "measurement window per phase")
+	mode := flag.String("mode", "failover", "workload: failover, stale, or federate")
 	out := flag.String("out", "", "write JSON to this file instead of stdout")
-	chaosClients := flag.Int("chaos-clients", 8, "closed-loop broker clients for -mode chaos and -mode cache")
-	callTimeout := flag.Duration("call-timeout", 200*time.Millisecond, "per-RPC deadline for -mode chaos and -mode cache")
-	seed := flag.Int64("seed", 1, "fault-injection seed for -mode chaos")
-	cacheWindows := flag.Int("cache-windows", 8, "distinct probe windows cycled by -mode cache (smaller = more repeat-heavy)")
+	clients := flag.Int("clients", 8, "closed-loop broker clients for -mode failover")
+	callTimeout := flag.Duration("call-timeout", 200*time.Millisecond, "per-RPC deadline")
+	seed := flag.Int64("seed", 1, "fault-injection seed for -mode failover")
 	mutateEvery := flag.Duration("mutate-every", 50*time.Millisecond, "interval between cache-invalidating mutations in -mode stale (also the staleness censoring cap)")
 	brokersFlag := flag.String("brokers", "1,2,4,8", "comma-separated broker counts for -mode federate")
 	flag.Parse()
 
+	var run func() (any, error)
 	switch *mode {
-	case "probe", "mixed", "write":
-	case "chaos":
-		chaosMain(*servers, *slotSize, *slots, *chaosClients, *dur, *callTimeout, *seed, *out)
-		return
-	case "cache":
-		cacheMain(*servers, *slotSize, *slots, *chaosClients, *cacheWindows, *dur, *callTimeout, *out)
-		return
-	case "trace-overhead":
-		traceOverheadMain(*servers, *slotSize, *slots, *chaosClients, *dur, *callTimeout, *out)
-		return
 	case "failover":
-		failoverMain(*servers, *slotSize, *slots, *chaosClients, *dur, *callTimeout, *seed, *out)
-		return
+		run = func() (any, error) {
+			return runFailover(*servers, *slotSize, *slots, *clients, *dur, *callTimeout, *seed)
+		}
 	case "stale":
-		staleMain(*servers, *slotSize, *slots, *dur, *mutateEvery, *callTimeout, *out)
-		return
+		run = func() (any, error) {
+			return runStale(*servers, *slotSize, *slots, *dur, *mutateEvery, *callTimeout)
+		}
 	case "federate":
-		federateMain(*servers, *slotSize, *slots, *brokersFlag, *dur, *callTimeout, *out)
-		return
-	case "backends":
-		backendsMain(*servers, *slotSize, *slots, *chaosClients, *dur, *callTimeout, *out)
-		return
-	default:
-		fmt.Fprintf(os.Stderr, "loadgen: unknown mode %q\n", *mode)
-		os.Exit(2)
-	}
-	res := result{Mode: *mode, Servers: *servers, WAL: *walDir != ""}
-	for _, f := range strings.Split(*clientsFlag, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			fmt.Fprintf(os.Stderr, "loadgen: bad client count %q\n", f)
+		brokers, err := parseCounts(*brokersFlag)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "loadgen: -brokers:", err)
 			os.Exit(2)
 		}
-		p, err := runPoint(*mode, *backend, *servers, *slotSize, *slots, *walDir, n, *dur)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
-			os.Exit(1)
+		run = func() (any, error) {
+			return runFederate(*servers, *slotSize, *slots, brokers, *dur, *callTimeout)
 		}
-		res.Points = append(res.Points, p)
-		fmt.Fprintf(os.Stderr, "%s clients=%d probe=%.0f/s (p99 %.0fus) write=%.0f/s (p99 %.0fus)\n",
-			*mode, n, p.ProbeRate, p.ProbeP99, p.WriteRate, p.WriteP99)
+	default:
+		fmt.Fprintf(os.Stderr, "loadgen: unknown mode %q (modes: failover, stale, federate)\n", *mode)
+		os.Exit(2)
 	}
-	enc, err := json.MarshalIndent(res, "", "  ")
+	res, err := run()
+	if err == nil {
+		err = writeJSON(*out, res)
+	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "loadgen:", err)
-		os.Exit(1)
-	}
-	enc = append(enc, '\n')
-	if *out == "" {
-		os.Stdout.Write(enc)
-		return
-	}
-	if err := os.WriteFile(*out, enc, 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
 	}

@@ -13,14 +13,11 @@ package main
 // off and on, comparing probe round trips per request.
 
 import (
-	"encoding/json"
 	"fmt"
-	"net"
 	"os"
 	"sort"
 	"time"
 
-	"coalloc/internal/core"
 	"coalloc/internal/grid"
 	"coalloc/internal/period"
 	"coalloc/internal/wire"
@@ -35,14 +32,14 @@ type stalePhase struct {
 	// mutation): the observer never saw the change in time. The freshness
 	// percentiles below treat censored toggles as the cap, so they are a
 	// lower bound on the passive phase's true staleness.
-	Censored         int     `json:"censored"`
-	FreshP50Millis   float64 `json:"freshP50Millis"`
-	FreshP99Millis   float64 `json:"freshP99Millis"`
-	StaleSampleRate  float64 `json:"staleSampleRate"` // fraction of probes answered stale
-	CacheHits        uint64  `json:"cacheHits"`
-	CacheMisses      uint64  `json:"cacheMisses"`
-	WatchEvents      uint64  `json:"watchEvents"`
-	CacheStaleDropped uint64 `json:"cacheStaleDropped"`
+	Censored          int     `json:"censored"`
+	FreshP50Millis    float64 `json:"freshP50Millis"`
+	FreshP99Millis    float64 `json:"freshP99Millis"`
+	StaleSampleRate   float64 `json:"staleSampleRate"` // fraction of probes answered stale
+	CacheHits         uint64  `json:"cacheHits"`
+	CacheMisses       uint64  `json:"cacheMisses"`
+	WatchEvents       uint64  `json:"watchEvents"`
+	CacheStaleDropped uint64  `json:"cacheStaleDropped"`
 }
 
 // staleBatch compares the Δt ladder's probe round trips without and with
@@ -69,37 +66,26 @@ type staleResult struct {
 // staleSite serves one fresh (unseeded) site over loopback TCP and returns
 // dialed clients for the observer and the mutator plus a teardown func.
 func staleSite(name string, servers int, slotSize int64, slots int, cfg wire.ClientConfig) (obs, mut *wire.Client, site *grid.Site, stop func(), err error) {
-	site, err = grid.NewSite(name, core.Config{
-		Servers:  servers,
-		SlotSize: period.Duration(slotSize),
-		Slots:    slots,
-	}, 0)
+	site, err = newSite(name, servers, slotSize, slots)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	srv, err := wire.NewServer(site)
+	addr, stopSrv, err := serveSite(site, nil)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		srv.Close()
-		return nil, nil, nil, nil, err
-	}
-	go srv.Serve(l)
-	addr := l.Addr().String()
 	obs, err = wire.DialConfig("tcp", addr, cfg)
 	if err != nil {
-		srv.Close()
+		stopSrv()
 		return nil, nil, nil, nil, err
 	}
 	mut, err = wire.DialConfig("tcp", addr, cfg)
 	if err != nil {
 		obs.Close()
-		srv.Close()
+		stopSrv()
 		return nil, nil, nil, nil, err
 	}
-	return obs, mut, site, func() { mut.Close(); obs.Close(); srv.Close() }, nil
+	return obs, mut, site, func() { mut.Close(); obs.Close(); stopSrv() }, nil
 }
 
 // runStalePhase drives one phase: the observer broker caches the target
@@ -264,8 +250,9 @@ func runStaleBatch(servers int, slotSize int64, slots int, callTimeout time.Dura
 	return out, nil
 }
 
-// staleMain implements -mode stale and prints the result as JSON.
-func staleMain(servers int, slotSize int64, slots int, dur, mutateEvery, callTimeout time.Duration, out string) {
+// runStale implements -mode stale: the passive and push phases, then the
+// batched-ladder comparison.
+func runStale(servers int, slotSize int64, slots int, dur, mutateEvery, callTimeout time.Duration) (staleResult, error) {
 	res := staleResult{
 		Mode:              "stale",
 		Servers:           servers,
@@ -277,8 +264,7 @@ func staleMain(servers int, slotSize int64, slots int, dur, mutateEvery, callTim
 	}{{"passive", false}, {"push", true}} {
 		p, err := runStalePhase(phase.name, phase.watch, servers, slotSize, slots, dur/2, mutateEvery, callTimeout)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "loadgen:", err)
-			os.Exit(1)
+			return res, err
 		}
 		res.Phases = append(res.Phases, p)
 		fmt.Fprintf(os.Stderr, "stale %-8s toggles=%d converged=%d censored=%d fresh p50=%.2fms p99=%.2fms stale-rate=%.1f%%\n",
@@ -286,25 +272,10 @@ func staleMain(servers int, slotSize int64, slots int, dur, mutateEvery, callTim
 	}
 	b, err := runStaleBatch(servers, slotSize, slots, callTimeout)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "loadgen:", err)
-		os.Exit(1)
+		return res, err
 	}
 	res.Batch = b
 	fmt.Fprintf(os.Stderr, "ladder: %.1f probe trips/request unbatched vs %.1f batched (%d batch RPCs for %d requests)\n",
 		b.TripsPerReqOff, b.TripsPerReqOn, b.BatchRPCs, b.Requests)
-
-	enc, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "loadgen:", err)
-		os.Exit(1)
-	}
-	enc = append(enc, '\n')
-	if out == "" {
-		os.Stdout.Write(enc)
-		return
-	}
-	if err := os.WriteFile(out, enc, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "loadgen:", err)
-		os.Exit(1)
-	}
+	return res, nil
 }
