@@ -25,7 +25,10 @@ func (b *busyList) insert(start, end period.Time) error {
 	if end <= start {
 		return fmt.Errorf("calendar: empty reservation [%d,%d)", start, end)
 	}
-	i := sort.Search(len(b.iv), func(k int) bool { return b.iv[k].start >= start })
+	i := len(b.iv) // most reservations start after every other: skip the search
+	if i > 0 && b.iv[i-1].start >= start {
+		i = sort.Search(len(b.iv), func(k int) bool { return b.iv[k].start >= start })
+	}
 	if i > 0 && b.iv[i-1].end > start {
 		return fmt.Errorf("calendar: reservation [%d,%d) overlaps [%d,%d)", start, end, b.iv[i-1].start, b.iv[i-1].end)
 	}
@@ -76,12 +79,33 @@ func (b *busyList) nextBusyStart(t period.Time) (period.Time, bool) {
 	return b.iv[i].start, true
 }
 
-// last returns the final reservation and whether any exists.
-func (b *busyList) last() (interval, bool) {
-	if len(b.iv) == 0 {
-		return interval{}, false
+// tailStart returns where the list's trailing idle period starts: the end
+// of its last reservation, or genesis.
+func (b *busyList) tailStart(genesis period.Time) period.Time {
+	if n := len(b.iv); n > 0 {
+		return b.iv[n-1].end
 	}
-	return b.iv[len(b.iv)-1], true
+	return genesis
+}
+
+// covering returns the idle gap of server, whose list this is, that covers
+// [start, end), if any — PeriodCovering on both backends.
+func (b *busyList) covering(genesis period.Time, server int, start, end period.Time) (period.Period, bool) {
+	i := sort.Search(len(b.iv), func(k int) bool { return b.iv[k].end > start })
+	if i < len(b.iv) && b.iv[i].start <= start {
+		return period.Period{}, false // busy at start
+	}
+	p := period.Period{Server: server, Start: genesis, End: period.Infinity}
+	if i > 0 {
+		p.Start = b.iv[i-1].end
+	}
+	if i < len(b.iv) {
+		p.End = b.iv[i].start
+	}
+	if !p.FeasibleFor(start, end) {
+		return period.Period{}, false
+	}
+	return p, true
 }
 
 // gapsOverlapping appends to out the maximal *finite* idle gaps of the list
@@ -133,6 +157,49 @@ func (b *busyList) busyBetween(a, bEnd period.Time) period.Duration {
 func (b *busyList) idleAt(t period.Time) bool {
 	i := sort.Search(len(b.iv), func(k int) bool { return b.iv[k].end > t })
 	return i >= len(b.iv) || b.iv[i].start > t
+}
+
+// utilization returns the fraction of the servers' capacity committed in
+// [a, b) — Utilization on both backends.
+func utilization(busy []busyList, a, b period.Time) float64 {
+	if b <= a || len(busy) == 0 {
+		return 0
+	}
+	var total period.Duration
+	for srv := range busy {
+		total += busy[srv].busyBetween(a, b)
+	}
+	return float64(total) / (float64(b-a) * float64(len(busy)))
+}
+
+// checkGround validates the ground truth both backends share: every
+// reservation list, and the tail index against each list's last
+// reservation. wantSlot then gives what each slot must index.
+func checkGround(busy []busyList, tails *tailIndex, genesis period.Time) error {
+	for srv := range busy {
+		if err := busy[srv].check(); err != nil {
+			return err
+		}
+		want := busy[srv].tailStart(genesis)
+		if got, ok := tails.startOf(srv); !ok || got != want {
+			return fmt.Errorf("calendar: server %d tail = %d, want %d", srv, got, want)
+		}
+	}
+	return nil
+}
+
+// wantSlot returns the finite idle periods overlapping [w0, w1), rebuilt
+// from every server's reservations.
+func wantSlot(busy []busyList, genesis, w0, w1 period.Time) map[period.Period]bool {
+	want := map[period.Period]bool{}
+	var buf []period.Period
+	for srv := range busy {
+		buf = busy[srv].gapsOverlapping(genesis, w0, w1, srv, buf[:0])
+		for _, g := range buf {
+			want[g] = true
+		}
+	}
+	return want
 }
 
 // check validates sortedness and disjointness (tests).

@@ -17,7 +17,6 @@ package calendar
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"coalloc/internal/dtree"
@@ -282,23 +281,20 @@ func (c *Calendar) FindFeasible(start, end period.Time, want int) ([]period.Peri
 	tailCand := c.tails.candidates(start) // trailing periods are always feasible
 	needFromTree := want - tailCand
 
+	// One slice holds the answer: the tree's periods, then the trailing ones.
 	var feasible []period.Period
 	var treeCand int
 	if needFromTree > 0 {
-		feasible, treeCand = tree.Search(start, end, needFromTree)
-		if len(feasible) < needFromTree {
+		feasible, treeCand = tree.Search(start, end, needFromTree, want)
+		if treeCand+tailCand < want {
 			// Not enough even with every trailing period: report failure
 			// with the candidate count for the attempt statistics.
-			if treeCand+tailCand < want {
-				return nil, treeCand + tailCand
-			}
-			// Candidates existed but too few were feasible in this slot.
-			feasible = c.tails.collect(start, want-len(feasible), feasible)
-			return feasible, treeCand + tailCand
+			return nil, treeCand + tailCand
 		}
 	} else {
-		treeCand = tree.Candidates(start)
+		treeCand, feasible = tree.Candidates(start), make([]period.Period, 0, want)
 	}
+	// Trailing periods supply whatever the tree did not.
 	if missing := want - len(feasible); missing > 0 {
 		feasible = c.tails.collect(start, missing, feasible)
 	}
@@ -320,7 +316,7 @@ func (c *Calendar) RangeSearch(start, end period.Time) []period.Period {
 	if q < c.base || q >= c.base+int64(c.cfg.Slots) || end > c.HorizonEnd() {
 		return nil
 	}
-	feasible, _ := c.slots.at(q).Search(start, end, 0)
+	feasible, _ := c.slots.at(q).Search(start, end, 0, 0)
 	return c.tails.collect(start, 0, feasible)
 }
 
@@ -343,8 +339,7 @@ func (c *Calendar) Allocate(p period.Period, start, end period.Time) error {
 		return fmt.Errorf("calendar: unknown server %d", p.Server)
 	}
 	if p.Unbounded() {
-		cur, ok := c.tails.startOf(p.Server)
-		if !ok || cur != p.Start {
+		if cur := c.busy[p.Server].tailStart(c.genesis); cur != p.Start {
 			return fmt.Errorf("calendar: stale trailing period %+v (current start %d)", p, cur)
 		}
 		if err := c.busy[p.Server].insert(start, end); err != nil {
@@ -378,24 +373,7 @@ func (c *Calendar) PeriodCovering(server int, start, end period.Time) (period.Pe
 	if server < 0 || server >= c.cfg.Servers || end <= start {
 		return period.Period{}, false
 	}
-	bl := &c.busy[server]
-	i := sort.Search(len(bl.iv), func(k int) bool { return bl.iv[k].end > start })
-	if i < len(bl.iv) && bl.iv[i].start <= start {
-		return period.Period{}, false // busy at start
-	}
-	gapStart := c.genesis
-	if i > 0 {
-		gapStart = bl.iv[i-1].end
-	}
-	gapEnd := period.Infinity
-	if i < len(bl.iv) {
-		gapEnd = bl.iv[i].start
-	}
-	p := period.Period{Server: server, Start: gapStart, End: gapEnd}
-	if !p.FeasibleFor(start, end) {
-		return period.Period{}, false
-	}
-	return p, true
+	return c.busy[server].covering(c.genesis, server, start, end)
 }
 
 // Release implements the early-release extension: the reservation
@@ -468,45 +446,20 @@ func (c *Calendar) BusyBetween(server int, a, b period.Time) period.Duration {
 
 // Utilization returns the fraction of total capacity committed in [a, b).
 func (c *Calendar) Utilization(a, b period.Time) float64 {
-	if b <= a || c.cfg.Servers == 0 {
-		return 0
-	}
-	var busy period.Duration
-	for srv := range c.busy {
-		busy += c.busy[srv].busyBetween(a, b)
-	}
-	return float64(busy) / (float64(b-a) * float64(c.cfg.Servers))
+	return utilization(c.busy, a, b)
 }
 
 // CheckConsistency rebuilds the expected contents of every active slot from
 // the reservation lists and compares them with the actual trees; the
 // randomized and differential suites call it continuously.
 func (c *Calendar) CheckConsistency() error {
-	for srv := range c.busy {
-		if err := c.busy[srv].check(); err != nil {
-			return err
-		}
-		wantTail := c.genesis
-		if last, ok := c.busy[srv].last(); ok {
-			wantTail = last.end
-		}
-		got, ok := c.tails.startOf(srv)
-		if !ok || got != wantTail {
-			return fmt.Errorf("calendar: server %d tail = %d, want %d", srv, got, wantTail)
-		}
+	if err := checkGround(c.busy, c.tails, c.genesis); err != nil {
+		return err
 	}
 	q := int64(c.cfg.Slots)
-	var buf []period.Period
 	for abs := c.base; abs < c.base+q; abs++ {
 		w0 := period.Time(abs * int64(c.cfg.SlotSize))
-		w1 := period.Time((abs + 1) * int64(c.cfg.SlotSize))
-		want := map[period.Period]bool{}
-		for srv := range c.busy {
-			buf = c.busy[srv].gapsOverlapping(c.genesis, w0, w1, srv, buf[:0])
-			for _, g := range buf {
-				want[g] = true
-			}
-		}
+		want := wantSlot(c.busy, c.genesis, w0, w0+period.Time(c.cfg.SlotSize))
 		got := c.slots.at(abs).All()
 		if len(got) != len(want) {
 			return fmt.Errorf("calendar: slot %d has %d periods, want %d", abs, len(got), len(want))

@@ -1,9 +1,11 @@
 package calendar
 
 import (
+	"cmp"
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -35,23 +37,17 @@ type Flat struct {
 	now       period.Time
 	genesis   period.Time
 	base      int64                  // absolute index of the earliest active slot
-	slots     *ring[[]period.Period] // copy-on-write ring of slot profiles, each sorted by flatLess; see ring.go
+	slots     *ring[[]period.Period] // copy-on-write ring of slot profiles, each sorted by flatCmp; see ring.go
 	busy      []busyList
 	tails     *tailIndex
 }
 
-// flatLess is the total order of a slot profile: ascending start, then
+// flatCmp is the total order of a slot profile: ascending start, then
 // server, then end. Any total order works — searches only need the
 // Start <= s prefix property — but it must be total so insert and remove
 // can locate exact elements by binary search.
-func flatLess(a, b period.Period) bool {
-	if a.Start != b.Start {
-		return a.Start < b.Start
-	}
-	if a.Server != b.Server {
-		return a.Server < b.Server
-	}
-	return a.End < b.End
+func flatCmp(a, b period.Period) int {
+	return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Server, b.Server), cmp.Compare(a.End, b.End))
 }
 
 // NewFlat creates a flat backend starting at time now with every server idle.
@@ -128,7 +124,7 @@ func cloneProfile(s []period.Period) []period.Period { return append([]period.Pe
 // slotInsert adds a period to the profile of slot abs.
 func (f *Flat) slotInsert(abs int64, p period.Period) {
 	s := f.slots.owned(abs)
-	j := sort.Search(len(s), func(k int) bool { return !flatLess(s[k], p) })
+	j := sort.Search(len(s), func(k int) bool { return flatCmp(s[k], p) >= 0 })
 	f.ops += 8 // binary-search probes plus the shift, mirroring tailIndex.update
 	s = append(s, period.Period{})
 	copy(s[j+1:], s[j:])
@@ -140,7 +136,7 @@ func (f *Flat) slotInsert(abs int64, p period.Period) {
 // whether it was present.
 func (f *Flat) slotRemove(abs int64, p period.Period) bool {
 	s := f.slots.owned(abs)
-	j := sort.Search(len(s), func(k int) bool { return !flatLess(s[k], p) })
+	j := sort.Search(len(s), func(k int) bool { return flatCmp(s[k], p) >= 0 })
 	f.ops += 8
 	if j >= len(s) || s[j] != p {
 		return false
@@ -159,29 +155,25 @@ func flatCandidates(slot []period.Period, s period.Time, ops *uint64) int {
 	return n
 }
 
-// flatSearch is the two-phase search over one slot profile: Phase 1 is the
-// candidate prefix count, Phase 2 a backward scan over the prefix keeping
-// periods with End >= end — latest starts first, the paper's retrieval
-// order. If max > 0 and fewer than max candidates exist, Phase 2 is skipped
-// and (nil, candidates) is returned, exactly like dtree.Search. ops may be
-// nil for side-effect-free view reads.
-func flatSearch(slot []period.Period, start, end period.Time, max int, ops *uint64) (feasible []period.Period, candidates int) {
-	candidates = flatCandidates(slot, start, ops)
-	if max > 0 && candidates < max {
-		return nil, candidates
-	}
-	for i := candidates - 1; i >= 0; i-- {
+// flatFeasible is Phase 2 over a slot's candidate prefix (see
+// flatCandidates): a backward scan appending to acc the periods with
+// End >= end — latest starts first, the paper's retrieval order — until max
+// are found (max <= 0: all of them). ops may be nil for side-effect-free
+// view reads.
+func flatFeasible(cands []period.Period, end period.Time, max int, ops *uint64, acc []period.Period) []period.Period {
+	found := 0
+	for i := len(cands) - 1; i >= 0; i-- {
 		if ops != nil {
 			*ops++
 		}
-		if slot[i].End >= end {
-			feasible = append(feasible, slot[i])
-			if max > 0 && len(feasible) >= max {
-				return feasible, candidates
+		if cands[i].End >= end {
+			acc = append(acc, cands[i])
+			if found++; max > 0 && found >= max {
+				break
 			}
 		}
 	}
-	return feasible, candidates
+	return acc
 }
 
 // Advance moves the clock to now, discarding expired slot profiles and
@@ -223,12 +215,14 @@ func (f *Flat) Advance(now period.Time) {
 func (f *Flat) fillSlot(abs int64) {
 	w0 := period.Time(abs * int64(f.cfg.SlotSize))
 	w1 := period.Time((abs + 1) * int64(f.cfg.SlotSize))
+	// A finite gap ends where a reservation starts, so only a server whose
+	// trailing idle period starts after w0 can have one reaching the slot.
 	var s []period.Period
-	for srv := range f.busy {
-		f.ops++ // one reservation-list probe per server per new slot
-		s = f.busy[srv].gapsOverlapping(f.genesis, w0, w1, srv, s)
+	for _, e := range f.tails.entries[f.tails.candidates(w0):] {
+		f.ops++ // one reservation-list probe per server reaching the new slot
+		s = f.busy[e.server].gapsOverlapping(f.genesis, w0, w1, e.server, s)
 	}
-	sort.Slice(s, func(a, b int) bool { return flatLess(s[a], s[b]) })
+	slices.SortFunc(s, flatCmp)
 	f.ops += uint64(len(s))
 	f.slots.set(abs, s)
 }
@@ -287,25 +281,18 @@ func (f *Flat) FindFeasible(start, end period.Time, want int) ([]period.Period, 
 	slot := f.slots.at(q)
 
 	tailCand := f.tails.candidates(start) // trailing periods are always feasible
-	needFromSlot := want - tailCand
-
-	var feasible []period.Period
-	var slotCand int
-	if needFromSlot > 0 {
-		feasible, slotCand = flatSearch(slot, start, end, needFromSlot, &f.ops)
-		if len(feasible) < needFromSlot {
-			// Not enough even with every trailing period: report failure
-			// with the candidate count for the attempt statistics.
-			if slotCand+tailCand < want {
-				return nil, slotCand + tailCand
-			}
-			// Candidates existed but too few were feasible in this slot.
-			feasible = f.tails.collect(start, want-len(feasible), feasible)
-			return feasible, slotCand + tailCand
-		}
-	} else {
-		slotCand = flatCandidates(slot, start, &f.ops)
+	slotCand := flatCandidates(slot, start, &f.ops)
+	if slotCand+tailCand < want {
+		// Not enough even with every trailing period: Phase 2 is skipped,
+		// and the candidate count is reported for the attempt statistics.
+		return nil, slotCand + tailCand
 	}
+	// One slice holds the answer: the slot's periods, then the trailing ones.
+	feasible := make([]period.Period, 0, want)
+	if needFromSlot := want - tailCand; needFromSlot > 0 {
+		feasible = flatFeasible(slot[:slotCand], end, needFromSlot, &f.ops, feasible)
+	}
+	// Trailing periods supply whatever the slot did not.
 	if missing := want - len(feasible); missing > 0 {
 		feasible = f.tails.collect(start, missing, feasible)
 	}
@@ -326,7 +313,8 @@ func (f *Flat) RangeSearch(start, end period.Time) []period.Period {
 	if q < f.base || q >= f.base+int64(f.cfg.Slots) || end > f.HorizonEnd() {
 		return nil
 	}
-	feasible, _ := flatSearch(f.slots.at(q), start, end, 0, &f.ops)
+	slot := f.slots.at(q)
+	feasible := flatFeasible(slot[:flatCandidates(slot, start, &f.ops)], end, 0, &f.ops, nil)
 	return f.tails.collect(start, 0, feasible)
 }
 
@@ -348,8 +336,7 @@ func (f *Flat) Allocate(p period.Period, start, end period.Time) error {
 		return fmt.Errorf("calendar: unknown server %d", p.Server)
 	}
 	if p.Unbounded() {
-		cur, ok := f.tails.startOf(p.Server)
-		if !ok || cur != p.Start {
+		if cur := f.busy[p.Server].tailStart(f.genesis); cur != p.Start {
 			return fmt.Errorf("calendar: stale trailing period %+v (current start %d)", p, cur)
 		}
 		if err := f.busy[p.Server].insert(start, end); err != nil {
@@ -380,24 +367,7 @@ func (f *Flat) PeriodCovering(server int, start, end period.Time) (period.Period
 	if server < 0 || server >= f.cfg.Servers || end <= start {
 		return period.Period{}, false
 	}
-	bl := &f.busy[server]
-	i := sort.Search(len(bl.iv), func(k int) bool { return bl.iv[k].end > start })
-	if i < len(bl.iv) && bl.iv[i].start <= start {
-		return period.Period{}, false // busy at start
-	}
-	gapStart := f.genesis
-	if i > 0 {
-		gapStart = bl.iv[i-1].end
-	}
-	gapEnd := period.Infinity
-	if i < len(bl.iv) {
-		gapEnd = bl.iv[i].start
-	}
-	p := period.Period{Server: server, Start: gapStart, End: gapEnd}
-	if !p.FeasibleFor(start, end) {
-		return period.Period{}, false
-	}
-	return p, true
+	return f.busy[server].covering(f.genesis, server, start, end)
 }
 
 // Release truncates the reservation [start, end) on server to end at newEnd
@@ -468,45 +438,20 @@ func (f *Flat) BusyBetween(server int, a, b period.Time) period.Duration {
 
 // Utilization returns the fraction of total capacity committed in [a, b).
 func (f *Flat) Utilization(a, b period.Time) float64 {
-	if b <= a || f.cfg.Servers == 0 {
-		return 0
-	}
-	var busy period.Duration
-	for srv := range f.busy {
-		busy += f.busy[srv].busyBetween(a, b)
-	}
-	return float64(busy) / (float64(b-a) * float64(f.cfg.Servers))
+	return utilization(f.busy, a, b)
 }
 
 // CheckConsistency rebuilds the expected contents of every active slot from
 // the reservation lists and compares them with the actual profiles, and
 // verifies each profile's sort order.
 func (f *Flat) CheckConsistency() error {
-	for srv := range f.busy {
-		if err := f.busy[srv].check(); err != nil {
-			return err
-		}
-		wantTail := f.genesis
-		if last, ok := f.busy[srv].last(); ok {
-			wantTail = last.end
-		}
-		got, ok := f.tails.startOf(srv)
-		if !ok || got != wantTail {
-			return fmt.Errorf("calendar: server %d tail = %d, want %d", srv, got, wantTail)
-		}
+	if err := checkGround(f.busy, f.tails, f.genesis); err != nil {
+		return err
 	}
 	q := int64(f.cfg.Slots)
-	var buf []period.Period
 	for abs := f.base; abs < f.base+q; abs++ {
 		w0 := period.Time(abs * int64(f.cfg.SlotSize))
-		w1 := period.Time((abs + 1) * int64(f.cfg.SlotSize))
-		want := map[period.Period]bool{}
-		for srv := range f.busy {
-			buf = f.busy[srv].gapsOverlapping(f.genesis, w0, w1, srv, buf[:0])
-			for _, g := range buf {
-				want[g] = true
-			}
-		}
+		want := wantSlot(f.busy, f.genesis, w0, w0+period.Time(f.cfg.SlotSize))
 		got := f.slots.at(abs)
 		if len(got) != len(want) {
 			return fmt.Errorf("calendar: slot %d has %d periods, want %d", abs, len(got), len(want))
@@ -515,7 +460,7 @@ func (f *Flat) CheckConsistency() error {
 			if !want[g] {
 				return fmt.Errorf("calendar: slot %d holds unexpected period %+v", abs, g)
 			}
-			if k > 0 && !flatLess(got[k-1], g) {
+			if k > 0 && flatCmp(got[k-1], g) >= 0 {
 				return fmt.Errorf("calendar: slot %d out of order at %d: %+v before %+v", abs, k, got[k-1], g)
 			}
 		}
@@ -526,8 +471,18 @@ func (f *Flat) CheckConsistency() error {
 // flatSearchRO is the flat backend's view search: a nil ops counter makes
 // the read entirely side-effect free.
 func flatSearchRO(slot []period.Period, start, end period.Time) []period.Period {
-	feasible, _ := flatSearch(slot, start, end, 0, nil)
-	return feasible
+	return flatFeasible(slot[:flatCandidates(slot, start, nil)], end, 0, nil, nil)
+}
+
+// flatCountRO is len(flatSearchRO(...)), counted over the candidate prefix.
+func flatCountRO(slot []period.Period, start, end period.Time) int {
+	n := 0
+	for _, p := range slot[:flatCandidates(slot, start, nil)] {
+		if p.End >= end {
+			n++
+		}
+	}
+	return n
 }
 
 // PublishView captures the backend's current searchable state as an
@@ -543,6 +498,7 @@ func (f *Flat) PublishView() View {
 		slots:      f.slots.publish(),
 		tails:      f.tails.cloneRO(),
 		search:     flatSearchRO,
+		count:      flatCountRO,
 	}
 }
 
@@ -576,8 +532,8 @@ func FlatFromSnapshotData(s SnapshotData) (*Flat, error) {
 	}
 	f.tails = newTailIndex(s.Config.Servers, s.Genesis, &f.ops)
 	for srv := range f.busy {
-		if last, ok := f.busy[srv].last(); ok {
-			f.tails.update(srv, s.Genesis, last.end)
+		if start := f.busy[srv].tailStart(s.Genesis); start != s.Genesis {
+			f.tails.update(srv, s.Genesis, start)
 		}
 	}
 	q := int64(s.Config.Slots)

@@ -212,8 +212,16 @@ func FuzzBackendEquivalence(f *testing.F) {
 		ref := cals[0] // drives server selection; all backends must agree anyway
 		var live []fuzzLive
 
-		// agree asserts the lockstep invariants that must hold after every op.
-		agree := func(step int) {
+		// agree asserts the lockstep invariants that must hold after every op,
+		// and that a view cut now counts for the op's window exactly what its
+		// backend lists.
+		agree := func(step int, op fuzzOp) {
+			s, e := fuzzWindow(ref, op)
+			for i, c := range cals {
+				if n, want := c.PublishView().Available(s, e), len(c.RangeSearch(s, e)); n != want {
+					t.Fatalf("step %d: %s view Available[%d,%d) = %d, RangeSearch lists %d", step, names[i], s, e, n, want)
+				}
+			}
 			for i := 1; i < len(cals); i++ {
 				if a, b := ref.MutationEpoch(), cals[i].MutationEpoch(); a != b {
 					t.Fatalf("step %d: epoch %s=%d %s=%d", step, names[0], a, names[i], b)
@@ -302,7 +310,7 @@ func FuzzBackendEquivalence(f *testing.F) {
 					}
 				}
 			}
-			agree(step)
+			agree(step, op)
 			if step%32 == 0 {
 				for i, c := range cals {
 					if err := c.CheckConsistency(); err != nil {

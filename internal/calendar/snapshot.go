@@ -117,8 +117,8 @@ func FromSnapshotData(s SnapshotData) (*Calendar, error) {
 	// slot trees from the reservation-gap structure.
 	c.tails = newTailIndex(s.Config.Servers, s.Genesis, &c.ops)
 	for srv := range c.busy {
-		if last, ok := c.busy[srv].last(); ok {
-			c.tails.update(srv, s.Genesis, last.end)
+		if start := c.busy[srv].tailStart(s.Genesis); start != s.Genesis {
+			c.tails.update(srv, s.Genesis, start)
 		}
 	}
 	q := int64(s.Config.Slots)

@@ -21,6 +21,7 @@ type view[T any] struct {
 	slots      ringView[T]
 	tails      *tailIndex // read-only, with no operation counter
 	search     func(slot T, start, end period.Time) []period.Period
+	count      func(slot T, start, end period.Time) int // len(search(...)), listing nothing
 }
 
 // treeSearchRO is the dtree backend's view search.
@@ -43,6 +44,7 @@ func (c *Calendar) PublishView() View {
 		slots:      c.slots.publish(),
 		tails:      c.tails.cloneRO(),
 		search:     treeSearchRO,
+		count:      (*dtree.Tree).CountRO,
 	}
 }
 
@@ -56,22 +58,37 @@ func (v *view[T]) Epoch() uint64 { return v.epoch }
 // HorizonEnd returns the right edge of the view's active window.
 func (v *view[T]) HorizonEnd() period.Time { return v.horizonEnd }
 
+// slot returns the slot a search of [start, end) reads, or false if the
+// window is empty, starts outside the view's active window or ends past its
+// horizon.
+func (v *view[T]) slot(start, end period.Time) (T, bool) {
+	q := int64(start) / int64(v.cfg.SlotSize)
+	if end <= start || q < v.base || q >= v.base+int64(v.cfg.Slots) || end > v.horizonEnd {
+		var none T
+		return none, false
+	}
+	return v.slots.at(q % int64(v.cfg.Slots)), true
+}
+
 // RangeSearch returns every idle period feasible for [start, end) as of the
 // view's publication instant — the concurrent read-path twin of the
 // backend's RangeSearch, byte-for-byte the same result set.
 func (v *view[T]) RangeSearch(start, end period.Time) []period.Period {
-	if end <= start {
+	slot, ok := v.slot(start, end)
+	if !ok {
 		return nil
 	}
-	q := int64(start) / int64(v.cfg.SlotSize)
-	if q < v.base || q >= v.base+int64(v.cfg.Slots) || end > v.horizonEnd {
-		return nil
-	}
-	return v.tails.collect(start, 0, v.search(v.slots.at(q%int64(v.cfg.Slots)), start, end))
+	return v.tails.collect(start, 0, v.search(slot, start, end))
 }
 
 // Available reports how many servers could be co-allocated over [start, end)
-// as of the view's publication instant.
+// as of the view's publication instant: len(RangeSearch(start, end)),
+// counted without listing — every trailing candidate is feasible, and the
+// slot counts its own.
 func (v *view[T]) Available(start, end period.Time) int {
-	return len(v.RangeSearch(start, end))
+	slot, ok := v.slot(start, end)
+	if !ok {
+		return 0
+	}
+	return v.tails.candidates(start) + v.count(slot, start, end)
 }

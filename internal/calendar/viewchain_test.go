@@ -74,6 +74,10 @@ func (r retainedView) check(t *testing.T, step int) {
 			t.Fatalf("%s step %d: view of step %d RangeSearch[%d,%d) = %v, answered %v at publication",
 				r.publishedBackend, step, r.publishedAtStep, r.starts[k], r.ends[k], got, r.answers[k])
 		}
+		if n := r.v.Available(r.starts[k], r.ends[k]); n != len(r.answers[k]) {
+			t.Fatalf("%s step %d: view of step %d Available[%d,%d) = %d, RangeSearch lists %d",
+				r.publishedBackend, step, r.publishedAtStep, r.starts[k], r.ends[k], n, len(r.answers[k]))
+		}
 	}
 }
 

@@ -30,7 +30,7 @@ func TestSearchComplexityPolylog(t *testing.T) {
 		const searches = 400
 		for i := 0; i < searches; i++ {
 			s := period.Time(rng.Int63n(horizon))
-			tr.Search(s, s+period.Time(rng.Int63n(horizon/4)), 8)
+			tr.Search(s, s+period.Time(rng.Int63n(horizon/4)), 8, 0)
 		}
 		return float64(ops) / searches
 	}

@@ -366,11 +366,12 @@ func (t *Tree) phase1(s period.Time) []*node {
 // periods (max <= 0 means all) and the total number of candidates seen in
 // Phase 1. The feasible periods are produced in the paper's retrieval order:
 // marked subtrees in reverse marking order (starts closest to s first), each
-// traversed in ascending end order.
+// traversed in ascending end order. Phase 2 collects into a slice of
+// capacity room, so a caller appending to it need not grow it.
 //
 // If fewer than max candidates exist, Phase 2 is skipped entirely, exactly
 // as the paper prescribes, and Search returns (nil, candidates).
-func (t *Tree) Search(start, end period.Time, max int) (feasible []period.Period, candidates int) {
+func (t *Tree) Search(start, end period.Time, max, room int) (feasible []period.Period, candidates int) {
 	if t.tm != nil {
 		defer t.tm.observe(t.tm.Search, time.Now())
 	}
@@ -381,6 +382,7 @@ func (t *Tree) Search(start, end period.Time, max int) (feasible []period.Period
 	if max > 0 && candidates < max {
 		return nil, candidates
 	}
+	feasible = make([]period.Period, 0, room)
 	for i := len(marks) - 1; i >= 0; i-- {
 		m := marks[i]
 		if m.leaf() {
@@ -449,11 +451,30 @@ func (t *Tree) SearchRO(start, end period.Time, max int) (feasible []period.Peri
 	return feasible, candidates
 }
 
-// CandidatesRO is Candidates without side effects (see SearchRO).
-func (t *Tree) CandidatesRO(s period.Time) int {
+// CountRO is len(SearchRO(start, end, 0)) without the list: Phase 1's
+// descent adds, for each subtree it would mark, how many of its periods end
+// at or after end, which the secondary tree's subtree sizes count in
+// O(log n). Like SearchRO it has no side effects.
+func (t *Tree) CountRO(start, end period.Time) int {
 	total := 0
-	for _, m := range t.phase1RO(s) {
-		total += m.count()
+	for n := t.root; n != nil; {
+		switch {
+		case n.leaf():
+			if n.p.FeasibleFor(start, end) {
+				total++
+			}
+			return total
+		case n.key.Start > start:
+			n = n.right
+		case n.right.leaf():
+			if n.right.p.End >= end {
+				total++
+			}
+			n = n.left
+		default:
+			total += countFeasibleRO(n.right.sec.root, end)
+			n = n.left
+		}
 	}
 	return total
 }

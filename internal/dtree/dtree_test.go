@@ -82,7 +82,7 @@ func TestEmptyTree(t *testing.T) {
 	if tr.Len() != 0 {
 		t.Fatalf("empty tree Len = %d", tr.Len())
 	}
-	if got, cand := tr.Search(0, 10, 1); got != nil || cand != 0 {
+	if got, cand := tr.Search(0, 10, 1, 0); got != nil || cand != 0 {
 		t.Fatalf("empty tree Search = %v, %d", got, cand)
 	}
 	if tr.Delete(period.Period{Server: 1, Start: 0, End: 5}) {
@@ -103,13 +103,13 @@ func TestSingleElement(t *testing.T) {
 	if tr.Len() != 1 || !tr.Has(p) {
 		t.Fatalf("after insert: Len=%d Has=%v", tr.Len(), tr.Has(p))
 	}
-	if got, cand := tr.Search(20, 40, 1); cand != 1 || len(got) != 1 || !got[0].Equal(p) {
+	if got, cand := tr.Search(20, 40, 1, 0); cand != 1 || len(got) != 1 || !got[0].Equal(p) {
 		t.Fatalf("Search = %v, %d", got, cand)
 	}
-	if got, cand := tr.Search(5, 40, 1); cand != 0 || got != nil {
+	if got, cand := tr.Search(5, 40, 1, 0); cand != 0 || got != nil {
 		t.Fatalf("Search before start = %v, %d; want no candidates", got, cand)
 	}
-	if got, _ := tr.Search(20, 60, 0); len(got) != 0 {
+	if got, _ := tr.Search(20, 60, 0, 0); len(got) != 0 {
 		t.Fatalf("Search past end returned %v", got)
 	}
 	if !tr.Delete(p) || tr.Len() != 0 {
@@ -136,7 +136,7 @@ func TestPaperExample(t *testing.T) {
 	// Request: s_r = 17, l_r = 12, so e_r = 29, n_r = 2. All four periods
 	// are candidates (start <= 17); feasible are those with end >= 29:
 	// Y (33) and Z (33). X ends at 25 and V at 18: infeasible.
-	feasible, cand := tr.Search(17, 29, 2)
+	feasible, cand := tr.Search(17, 29, 2, 0)
 	if cand != 4 {
 		t.Fatalf("candidates = %d, want 4", cand)
 	}
@@ -150,7 +150,7 @@ func TestPaperExample(t *testing.T) {
 	}
 
 	// A request for 3 servers at the same time must fail: only 2 feasible.
-	feasible, _ = tr.Search(17, 29, 3)
+	feasible, _ = tr.Search(17, 29, 3, 0)
 	if len(feasible) >= 3 {
 		t.Fatalf("Search found %d feasible, only 2 exist", len(feasible))
 	}
@@ -196,7 +196,7 @@ func TestInsertDeleteRandomized(t *testing.T) {
 		if step%31 == 0 {
 			s := period.Time(rng.Int63n(horizon))
 			e := s + 1 + period.Time(rng.Int63n(horizon))
-			got, cand := tr.Search(s, e, 0)
+			got, cand := tr.Search(s, e, 0, 0)
 			if cand != o.candidates(s) {
 				t.Fatalf("step %d: candidates(%d) = %d, oracle %d", step, s, cand, o.candidates(s))
 			}
@@ -228,7 +228,7 @@ func TestSearchEarlyStop(t *testing.T) {
 		s := period.Time(rng.Int63n(500))
 		e := s + 1 + period.Time(rng.Int63n(500))
 		n := 1 + rng.Intn(10)
-		got, cand := tr.Search(s, e, n)
+		got, cand := tr.Search(s, e, n, 0)
 		wantAll := o.feasible(s, e)
 		if cand != o.candidates(s) {
 			t.Fatalf("candidates mismatch: %d vs %d", cand, o.candidates(s))
@@ -288,7 +288,7 @@ func TestQuickSearchMatchesOracle(t *testing.T) {
 		}
 		s := period.Time(sRaw % 400)
 		e := s + 1 + period.Time(lRaw%400)
-		got, cand := tr.Search(s, e, 0)
+		got, cand := tr.Search(s, e, 0, 0)
 		want := o.feasible(s, e)
 		if cand != o.candidates(s) || len(got) != len(want) {
 			return false
@@ -321,7 +321,7 @@ func TestBalanceUnderAdversarialInserts(t *testing.T) {
 		t.Fatal(err)
 	}
 	ops = 0
-	tr.Search(period.Time(n), period.Time(n+1), 0)
+	tr.Search(period.Time(n), period.Time(n+1), 0, 0)
 	// Phase 1 on a balanced tree of 4096 leaves visits ~13 nodes per level
 	// structure; allow generous slack but reject linear behaviour.
 	if ops > 40*13 {
@@ -379,7 +379,7 @@ func TestOpsCounterAdvances(t *testing.T) {
 		tr.Insert(period.Period{Server: i, Start: period.Time(i * 3), End: period.Time(i*3 + 50)})
 	}
 	before := ops
-	tr.Search(150, 200, 5)
+	tr.Search(150, 200, 5, 0)
 	if ops == before {
 		t.Fatal("search did not count any operations")
 	}
@@ -391,7 +391,7 @@ func TestInfinitePeriodsAlwaysFeasibleLate(t *testing.T) {
 	fin := period.Period{Server: 1, Start: 50, End: 500}
 	tr.Insert(inf)
 	tr.Insert(fin)
-	got, cand := tr.Search(200, 1_000_000, 0)
+	got, cand := tr.Search(200, 1_000_000, 0, 0)
 	if cand != 2 {
 		t.Fatalf("candidates = %d, want 2", cand)
 	}
@@ -428,6 +428,6 @@ func BenchmarkSearch512(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := period.Time(rng.Int63n(100000))
-		tr.Search(s, s+5000, 16)
+		tr.Search(s, s+5000, 16, 0)
 	}
 }

@@ -283,6 +283,23 @@ func collectFeasibleRO(n *enode, end period.Time, max int, acc []period.Period) 
 	return acc
 }
 
+// countFeasibleRO is collectFeasibleRO counting instead of listing: each
+// right subtree the descent would harvest adds its size.
+func countFeasibleRO(n *enode, end period.Time) (total int) {
+	for n != nil && !n.leaf() {
+		if n.key.End >= end {
+			total += n.right.count()
+			n = n.left
+		} else {
+			n = n.right
+		}
+	}
+	if n != nil && n.p.End >= end {
+		total++
+	}
+	return total
+}
+
 // appendAllRO mirrors appendAll without visiting the operation counter.
 func appendAllRO(n *enode, max int, acc []period.Period) []period.Period {
 	if n.leaf() {

@@ -53,13 +53,16 @@ func FuzzTreeOps(f *testing.F) {
 			case 3: // search
 				s := period.Time(a % 80)
 				e := s + 1 + period.Time(b%80)
-				got, cand := tr.Search(s, e, 0)
+				got, cand := tr.Search(s, e, 0, 0)
 				if cand != o.candidates(s) {
 					t.Fatalf("candidates(%d) = %d, oracle %d", s, cand, o.candidates(s))
 				}
 				want := o.feasible(s, e)
 				if len(got) != len(want) {
 					t.Fatalf("feasible count %d, oracle %d", len(got), len(want))
+				}
+				if n := tr.CountRO(s, e); n != len(want) {
+					t.Fatalf("CountRO(%d, %d) = %d, oracle %d", s, e, n, len(want))
 				}
 				seen := map[period.Period]bool{}
 				for _, p := range got {

@@ -415,11 +415,13 @@ func (b *Broker) CoAllocate(now period.Time, req Request) (MultiAllocation, erro
 		slog.Int("servers", req.Servers))
 	defer root.End()
 	defer latency(b.m.requestLatency, root.TraceID())()
-	b.event(obs.EventSubmit,
-		slog.Int64("job", req.ID),
-		slog.Int("servers", req.Servers),
-		slog.Int64("start", int64(req.Start)),
-		slog.Int64("duration", int64(req.Duration)))
+	if b.cfg.Tracer != nil { // an event's attrs escape to the heap even with no tracer
+		b.event(obs.EventSubmit,
+			slog.Int64("job", req.ID),
+			slog.Int("servers", req.Servers),
+			slog.Int64("start", int64(req.Start)),
+			slog.Int64("duration", int64(req.Duration)))
+	}
 
 	reject := func(err error, reason string, detail slog.Attr) {
 		root.Fail(err)
@@ -440,11 +442,13 @@ func (b *Broker) CoAllocate(now period.Time, req Request) (MultiAllocation, erro
 		switch r.outcome {
 		case windowGranted:
 			root.Annotate(slog.String("hold", r.hold), slog.Int("attempts", attempt))
-			b.event(obs.EventAccept,
-				slog.Int64("job", req.ID),
-				slog.String("hold", r.hold),
-				slog.Int("attempts", attempt),
-				slog.Int64("start", int64(start)))
+			if b.cfg.Tracer != nil {
+				b.event(obs.EventAccept,
+					slog.Int64("job", req.ID),
+					slog.String("hold", r.hold),
+					slog.Int("attempts", attempt),
+					slog.Int64("start", int64(start)))
+			}
 			return MultiAllocation{HoldID: r.hold, Start: r.start, End: r.end, Shares: r.granted, Attempts: attempt}, nil
 		case windowPartial:
 			// The grid may be inconsistent until leases expire; do not

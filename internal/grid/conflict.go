@@ -37,3 +37,13 @@ func (e *ConflictError) Unwrap() error { return e.Err }
 
 // Is reports whether target is ErrConflict.
 func (e *ConflictError) Is(target error) bool { return target == ErrConflict }
+
+// asConflict is errors.As for a *ConflictError, allocating nothing for a nil err.
+func asConflict(err error) *ConflictError {
+	if err == nil {
+		return nil
+	}
+	var c *ConflictError
+	errors.As(err, &c)
+	return c
+}

@@ -224,10 +224,10 @@ func (b *Broker) tryFailover(i int, cause error) {
 		slog.String("cause", cause.Error()))
 }
 
-// breakerOpenFor reports (and accounts) whether site i's circuit is open,
-// failing the call fast instead of waiting out a timeout.
-func (b *Broker) breakerOpenFor(i int) error {
-	if !b.health[i].allow(b.clock()) {
+// breakerOpenFor reports (and accounts) whether site i's circuit is open at
+// now, failing the call fast instead of waiting out a timeout.
+func (b *Broker) breakerOpenFor(i int, now time.Time) error {
+	if !b.health[i].allow(now) {
 		b.m.inc(cBreakerSkips)
 		return fmt.Errorf("%s: %w", b.sites[i].Name(), ErrCircuitOpen)
 	}

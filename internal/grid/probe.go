@@ -76,20 +76,18 @@ func (b *Broker) probeSites(sp *obs.ActiveSpan, now, start, end period.Time) []A
 		// Reserve the probe span's identity up front (so the site's remote
 		// fragment can parent under it) but record the span only once the
 		// outcome is known: RecordAs into the trace's arena keeps the
-		// per-probe tracing cost allocation-free on this hot path.
+		// per-probe tracing cost allocation-free on this hot path. The
+		// breaker, fetch's timing and the span share the leg's two readings.
 		pc := sp.ChildContext()
-		var t0 time.Time
-		if pc.Valid() {
-			t0 = time.Now()
-		}
-		if err := b.breakerOpenFor(i); err != nil {
+		t0 := b.clock()
+		if err := b.breakerOpenFor(i, t0); err != nil {
 			sp.RecordAs(pc, "broker.probe", t0, t0, err, b.probeAttrs[i]["breaker_skip"]...)
 			avail[i] = Avail{Conn: c, Err: err}
 			return
 		}
-		r, src, err := b.fetch(i, kindProbe, pc, now, start, end)
+		r, src, t1, err := b.fetch(i, kindProbe, pc, t0, now, start, end)
 		if pc.Valid() {
-			sp.RecordAs(pc, "broker.probe", t0, time.Now(), err, b.probeAttrs[i][src]...)
+			sp.RecordAs(pc, "broker.probe", t0, t1, err, b.probeAttrs[i][src]...)
 		}
 		if err != nil {
 			b.m.inc(cProbeUnreachable)
@@ -124,28 +122,27 @@ const (
 // the plain round trip. Whoever made the round trip feeds the site's breaker
 // with its outcome, and nobody else: a timeout counted once per waiter would
 // trip the breaker in a single round. The same caller times the round trip
-// for fanOut: at the conn call, so a decorated in-process conn counts as what
-// it is, and not per leg, so a cache hit does not turn the miss round after
-// it into serial RPCs. With a cache the reply's feasible slice is shared
-// with it: callers must not modify it.
-func (b *Broker) fetch(i int, kind uint8, tc obs.SpanContext, now, start, end period.Time) (r reply, src string, err error) {
+// for fanOut, from the caller's reading t0 to fetch's own t1, which it
+// returns: not per leg, so a cache hit does not turn the miss round after it
+// into serial RPCs. With a cache the reply's feasible slice is shared with
+// it: callers must not modify it.
+func (b *Broker) fetch(i int, kind uint8, tc obs.SpanContext, t0 time.Time, now, start, end period.Time) (r reply, src string, t1 time.Time, err error) {
 	c, pc := b.sites[i], b.cache
 	site, src := c.Name(), probeSrcRPC
 	var key flightKey
 	var fl *flight
 	if pc != nil {
 		if e := pc.lookup(site, kind, now, start, end); e != nil {
-			return e.reply, probeSrcHit, nil
+			return e.reply, probeSrcHit, b.clock(), nil
 		}
 		key = flightKey{site: site, kind: kind, now: now, start: start, end: end}
 		var leader bool
 		if fl, leader = pc.join(key); !leader {
 			<-fl.done
-			return fl.reply, probeSrcCoalesced, fl.err
+			return fl.reply, probeSrcCoalesced, b.clock(), fl.err
 		}
 		src = probeSrcMiss
 	}
-	t0 := b.clock()
 	if kind == kindRange {
 		var rr RangeResult
 		rr, err = c.(RangeConn).RangeView(now, start, end)
@@ -153,7 +150,8 @@ func (b *Broker) fetch(i int, kind uint8, tc obs.SpanContext, now, start, end pe
 	} else {
 		r.probe, err = connProbe(c, tc, now, start, end)
 	}
-	b.quick[i].Store(b.clock().Sub(t0) < quickRoundTrip)
+	t1 = b.clock()
+	b.quick[i].Store(t1.Sub(t0) < quickRoundTrip)
 	if pc != nil {
 		if err == nil {
 			b.cacheReply(site, kind, start, end, r, fl.gen)
@@ -162,7 +160,7 @@ func (b *Broker) fetch(i int, kind uint8, tc obs.SpanContext, now, start, end pe
 		pc.finish(key, fl)
 	}
 	b.feed(i, err)
-	return r, src, err
+	return r, src, t1, err
 }
 
 // cacheReply folds a fresh reply into the cache: its epoch first — a moved
@@ -231,11 +229,12 @@ func (b *Broker) RangeAll(now, start, end period.Time) []SiteRange {
 			out[i] = SiteRange{Conn: c, Err: fmt.Errorf("grid: site %s does not support range search", c.Name())}
 			return
 		}
-		if err := b.breakerOpenFor(i); err != nil {
+		t0 := b.clock()
+		if err := b.breakerOpenFor(i, t0); err != nil {
 			out[i] = SiteRange{Conn: c, Err: err}
 			return
 		}
-		r, _, err := b.fetch(i, kindRange, obs.SpanContext{}, now, start, end)
+		r, _, _, err := b.fetch(i, kindRange, obs.SpanContext{}, t0, now, start, end)
 		if err != nil {
 			out[i] = SiteRange{Conn: c, Err: err}
 			b.m.inc(cProbeUnreachable)

@@ -1,7 +1,6 @@
 package grid
 
 import (
-	"errors"
 	"fmt"
 	"log/slog"
 	"slices"
@@ -115,6 +114,7 @@ func (r *round) advance(a answer) step {
 			return r.finish(windowFailed, err)
 		}
 		r.hold, r.queue = r.ids.next(), q
+		r.prepared, r.granted, r.committed = make([]int, 0, len(q)), make([]GrantedShare, 0, len(q)), make([]int, 0, len(q))
 		return r.prepareNext()
 
 	case phPrepare:
@@ -126,8 +126,7 @@ func (r *round) advance(a answer) step {
 			return r.prepareNext()
 		}
 		r.refusal = a.err
-		var conflict *ConflictError
-		if errors.As(a.err, &conflict) {
+		if asConflict(a.err) != nil {
 			r.m.inc(cConflicts)
 			if !r.conflicted {
 				r.conflicted = true
@@ -297,7 +296,7 @@ func (b *Broker) runRound(sp *obs.ActiveSpan, now, start, end period.Time, total
 			a.servers, a.err = b.prepare(sp, &r, st)
 		case phReprobe:
 			rp := sp.StartChild("broker.reprobe", slog.String("site", c.Name()))
-			r, _, err := b.fetch(st.site, kindProbe, rp.Context(), now, start, end)
+			r, _, _, err := b.fetch(st.site, kindProbe, rp.Context(), b.clock(), now, start, end)
 			rp.Fail(err)
 			rp.End()
 			a.avail, a.err = []Avail{availOf(c, r.probe, err)}, err
@@ -319,7 +318,7 @@ func (b *Broker) runRound(sp *obs.ActiveSpan, now, start, end period.Time, total
 			commit.Fail(a.err)
 			commit.End()
 			b.dropCached(c.Name(), "2pc")
-			if a.err == nil {
+			if a.err == nil && b.cfg.Tracer != nil {
 				b.event(obs.EventCommit, slog.String("hold", r.hold), slog.String("site", c.Name()))
 			}
 		case phAbort:
@@ -348,8 +347,7 @@ func (b *Broker) prepare(sp *obs.ActiveSpan, r *round, st step) ([]int, error) {
 	// and a prepare answered under a stale idea of the site's state is
 	// exactly what the epoch protocol exists to flush.
 	b.dropCached(c.Name(), "2pc")
-	var conflict *ConflictError
-	if errors.As(err, &conflict) {
+	if conflict := asConflict(err); conflict != nil {
 		// The site answered; losing an optimistic-concurrency race is not an
 		// outage, so the breaker sees a success.
 		b.feed(st.site, nil)
@@ -360,7 +358,7 @@ func (b *Broker) prepare(sp *obs.ActiveSpan, r *round, st step) ([]int, error) {
 		return nil, err
 	}
 	b.feed(st.site, err)
-	if err == nil {
+	if err == nil && b.cfg.Tracer != nil {
 		b.event(obs.EventPrepare,
 			slog.String("hold", hold),
 			slog.String("site", c.Name()),
@@ -381,7 +379,7 @@ func (b *Broker) decide(sp *obs.ActiveSpan, site int, now period.Time, hold, cau
 		slog.String("hold", hold),
 		slog.String("cause", cause))
 	if gate {
-		if err := b.breakerOpenFor(site); err != nil {
+		if err := b.breakerOpenFor(site, b.clock()); err != nil {
 			as.Fail(err)
 			as.End()
 			return err

@@ -190,10 +190,10 @@ type Site struct {
 	// read path: the last published epoch. Never nil after NewSite/RestoreSite.
 	view atomic.Pointer[siteView]
 
-	// watchCh is the epoch-change broadcast: publishLocked installs a fresh
-	// channel and closes the previous one after storing the new view, so a
-	// waiter that loads the channel and then re-checks the view can never
-	// miss a publish. Never nil after the first publish.
+	// watchCh is the epoch-change broadcast, made by the first WaitEpoch
+	// caller to park: install takes it out and closes it after storing the
+	// new view, so a waiter that holds it and then re-checks the view can
+	// never miss a publish. Nil while nobody waits.
 	watchCh atomic.Pointer[chan struct{}]
 
 	// write path: admission queue state (guarded by qmu, not mu).
@@ -276,7 +276,15 @@ func (s *Site) publishLocked() {
 // viewLocked captures the site's state as an immutable view (the calendar
 // side is copy-on-write, so this is microseconds); the caller holds s.mu.
 func (s *Site) viewLocked() *siteView {
-	cv := s.sched.PublishView()
+	// A write that moved neither calendar nor clock (a commit) keeps its
+	// view; a reset from a snapshot redraws the salt, so it never does.
+	var cv calendar.View
+	if old := s.view.Load(); old != nil && old.salt == s.epochSalt &&
+		old.cal.Epoch() == s.sched.MutationEpoch() && old.cal.Now() == s.sched.Now() {
+		cv = old.cal
+	} else {
+		cv = s.sched.PublishView()
+	}
 	epoch := s.epochSalt + cv.Epoch()
 	leaseDue := period.Infinity
 	for _, h := range s.holds {
@@ -301,12 +309,11 @@ func (s *Site) viewLocked() *siteView {
 func (s *Site) install(v *siteView) {
 	s.view.Store(v)
 	// Wake epoch watchers only after the new view is visible: a waiter that
-	// loaded the old channel re-checks the view before blocking, so the
+	// holds the channel re-checks the view before blocking, so the
 	// store-then-close order guarantees it either sees this epoch or gets
 	// the close.
-	ch := make(chan struct{})
-	if old := s.watchCh.Swap(&ch); old != nil {
-		close(*old)
+	if ch := s.watchCh.Swap(nil); ch != nil {
+		close(*ch)
 	}
 }
 
@@ -322,10 +329,15 @@ func (s *Site) WaitEpoch(after uint64, timeout time.Duration) (epoch, salt uint6
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	for {
-		// Load the channel before the view: if a publish lands between the
-		// two loads we see its view (return now); if it lands after, it
-		// closes the channel we hold.
+		// Hold the channel, making it if nobody waits yet, before loading the
+		// view: if a publish lands between the two we see its view (return
+		// now); if it lands after, it closes the channel we hold.
 		chp := s.watchCh.Load()
+		if chp == nil {
+			ch := make(chan struct{})
+			s.watchCh.CompareAndSwap(nil, &ch) // or another waiter's is there
+			continue
+		}
 		v := s.view.Load()
 		if v.epoch != after {
 			return v.epoch, v.salt, v.cal.Now(), true
@@ -498,6 +510,9 @@ func (s *Site) applyLocked(op Op, attrs ...slog.Attr) error {
 		return fmt.Errorf("grid %s: %w", s.name, err)
 	}
 	if s.tracer != nil {
+		if op.Kind == OpPrepare { // built here: as arguments they would escape even untraced
+			attrs = append(attrs, slog.Int("servers", len(op.Alloc.Servers)), slog.Int64("start", int64(op.Alloc.Start)), slog.Int64("expires", int64(op.Expires)))
+		}
 		s.tracer.Event(op.Kind.String(), append(attrs, slog.String("hold", op.HoldID))...)
 	}
 	return nil
@@ -568,15 +583,14 @@ func (s *Site) ProbeViewTraced(tc obs.SpanContext, now, start, end period.Time) 
 	}
 	sp := s.startSpan(tc, "site.probe")
 	sp.Annotate(slog.Bool("clock_advance", true))
+	var r ProbeResult // declared here, so the view path leaves nothing on the heap
 	_ = s.submitWriteTraced(sp, func() error {
 		s.advanceLocked(now)
-		n = s.sched.Available(start, end)
-		epoch = s.epochSalt + s.sched.MutationEpoch()
-		siteNow = s.sched.Now()
+		r = ProbeResult{Available: s.sched.Available(start, end), Epoch: s.epochSalt + s.sched.MutationEpoch(), SiteNow: s.sched.Now()}
 		return nil
 	})
 	sp.End()
-	return n, epoch, siteNow
+	return r.Available, r.Epoch, r.SiteNow
 }
 
 // RangeSearchView is RangeSearch extended with the same cacheability
@@ -662,7 +676,9 @@ func (s *Site) PrepareConflictTraced(tc obs.SpanContext, now period.Time, holdID
 			s.name, holdID, servers, start, end, lease)
 	}
 	sp := s.startSpan(tc, "site.prepare")
-	sp.Annotate(slog.String("hold", holdID), slog.Int("servers", servers))
+	if sp != nil { // the attrs would escape to the heap even for a nil span
+		sp.Annotate(slog.String("hold", holdID), slog.Int("servers", servers))
+	}
 	var granted []int
 	err := s.submitWriteTraced(sp, func() error {
 		// What the probe saw is what this prepare finds, unless the epoch
@@ -695,8 +711,7 @@ func (s *Site) PrepareConflictTraced(tc obs.SpanContext, now period.Time, holdID
 		}
 		granted = alloc.Servers
 		op := Op{Kind: OpPrepare, Now: now, HoldID: holdID, Alloc: alloc, Expires: now.Add(lease)}
-		return s.applyLocked(op,
-			slog.Int("servers", servers), slog.Int64("start", int64(start)), slog.Int64("expires", int64(op.Expires)))
+		return s.applyLocked(op)
 	})
 	sp.Fail(err)
 	sp.End()
@@ -728,7 +743,9 @@ func (s *Site) Commit(now period.Time, holdID string) error {
 // CommitTraced is Commit as a fragment of the caller's trace.
 func (s *Site) CommitTraced(tc obs.SpanContext, now period.Time, holdID string) error {
 	sp := s.startSpan(tc, "site.commit")
-	sp.Annotate(slog.String("hold", holdID))
+	if sp != nil {
+		sp.Annotate(slog.String("hold", holdID))
+	}
 	err := s.submitWriteTraced(sp, func() error {
 		if err := s.admitLocked(now); err != nil {
 			return err

@@ -168,3 +168,27 @@ func TestRestoreSiteGarbage(t *testing.T) {
 		t.Fatal("garbage site snapshot restored")
 	}
 }
+
+// TestResetFromSnapshotPublishesTheNewCalendar: a reset in place publishes
+// the restored calendar even when its epoch and clock equal the old view's,
+// as a fresh standby's do against a snapshot taken at the same instant.
+func TestResetFromSnapshotPublishesTheNewCalendar(t *testing.T) {
+	standby, primary := mustSite(t, "s", 4), mustSite(t, "s", 4)
+	end := period.Time(period.Hour)
+	if _, err := primary.Prepare(0, "h", 0, end, 3, period.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if err := primary.Commit(0, "h"); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := primary.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := standby.ResetFromSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if n, _, _ := standby.ProbeView(0, 0, end); n != 1 {
+		t.Fatalf("after the reset the standby's view answers %d free servers, want 1", n)
+	}
+}

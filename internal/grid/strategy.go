@@ -2,7 +2,7 @@ package grid
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Avail is one site's probed availability for a candidate window. A site
@@ -70,7 +70,7 @@ func (Greedy) Name() string { return "greedy" }
 // Split implements Strategy.
 func (Greedy) Split(total int, avail []Avail) ([]Share, error) {
 	order := append([]Avail(nil), avail...)
-	sort.SliceStable(order, func(i, j int) bool { return order[i].Available > order[j].Available })
+	slices.SortStableFunc(order, func(a, b Avail) int { return b.Available - a.Available })
 	var shares []Share
 	left := total
 	for _, a := range order {
@@ -126,8 +126,8 @@ func (LoadBalance) Split(total int, avail []Avail) ([]Share, error) {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(x, y int) bool {
-		return avail[order[x]].Available-shares[order[x]].Servers > avail[order[y]].Available-shares[order[y]].Servers
+	slices.SortStableFunc(order, func(x, y int) int {
+		return (avail[y].Available - shares[y].Servers) - (avail[x].Available - shares[x].Servers)
 	})
 	for _, i := range order {
 		if assigned == total {

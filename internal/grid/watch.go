@@ -192,7 +192,7 @@ func (b *Broker) prefetchLadder(now, start period.Time, dur period.Duration) {
 		if !ok {
 			return
 		}
-		if b.breakerOpenFor(i) != nil {
+		if b.breakerOpenFor(i, b.clock()) != nil {
 			return
 		}
 		site := c.Name()
