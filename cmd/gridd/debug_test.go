@@ -22,7 +22,7 @@ func TestDebugMux(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	site.Instrument(reg, nil)
+	site.Instrument(reg)
 	site.SetRecorder(obs.NewRecorder(obs.RecorderConfig{}))
 	tc := obs.SpanContext{TraceID: 0xfeed, SpanID: 0xbeef}
 	if _, err := site.PrepareTraced(tc, 0, "h1", 0, period.Time(period.Hour), 4, period.Hour); err != nil {

@@ -41,9 +41,9 @@
 //
 // With -debug the daemon also serves observability endpoints over HTTP:
 // /metrics (Prometheus text; ?format=json for expvar-style), /healthz,
-// /statusz, and the standard /debug/pprof/ profiles. -trace additionally
-// logs every scheduling and 2PC decision as a structured JSON event on
-// stderr.
+// /statusz, /debug/traces (the flight recorder: each request's spans,
+// refusals with their reason and attempt count) and the standard
+// /debug/pprof/ profiles.
 //
 // Pair it with cmd/gridctl or examples/multisite.
 package main
@@ -52,7 +52,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -95,17 +94,12 @@ func main() {
 		ackReplicas  = flag.Int("ack-replicas", 1, "standbys that must persist a batch before a semisync acknowledgment")
 		ackTimeout   = flag.Duration("ack-timeout", replica.DefaultAckTimeout, "semisync wait bound before degrading to async (negative: never degrade)")
 		debugAddr    = flag.String("debug", "", "HTTP listen address for /metrics, /healthz, /statusz, /debug/traces, /debug/pprof (disabled when empty)")
-		trace        = flag.Bool("trace", false, "log scheduling and 2PC events as JSON on stderr")
 		traceCap     = flag.Int("trace-capacity", obs.DefaultRecorderCapacity, "flight recorder capacity in traces (the recorder is always on; this bounds its memory)")
 	)
 	flag.Parse()
 
-	var tracer obs.Tracer
-	if *trace {
-		tracer = obs.NewSlogTracer(slog.New(slog.NewJSONHandler(os.Stderr, nil)))
-	}
 	var reg *obs.Registry
-	if *debugAddr != "" || tracer != nil {
+	if *debugAddr != "" {
 		reg = obs.Default()
 	}
 
@@ -181,17 +175,15 @@ func main() {
 	}
 	srv.IdleTimeout = *idleTimeout
 	if reg != nil {
-		site.Instrument(reg, tracer)
+		site.Instrument(reg)
 		srv.Instrument(reg)
-		if *debugAddr != "" {
-			dl, err := net.Listen("tcp", *debugAddr)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "gridd:", err)
-				os.Exit(1)
-			}
-			go http.Serve(dl, debugMux(site, reg))
-			fmt.Printf("gridd: debug endpoints on http://%s/\n", dl.Addr())
+		dl, err := net.Listen("tcp", *debugAddr)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "gridd:", err)
+			os.Exit(1)
 		}
+		go http.Serve(dl, debugMux(site, reg))
+		fmt.Printf("gridd: debug endpoints on http://%s/\n", dl.Addr())
 	}
 
 	l, err := net.Listen("tcp", *listen)

@@ -203,36 +203,20 @@ func ScheduleWorkflow(s *Scheduler, w Workflow, submit Time, baseID int64) (Work
 func CancelWorkflow(s *Scheduler, p WorkflowPlan) error { return workflow.Cancel(s, p) }
 
 // Observability: zero-dependency counters, gauges, and windowed latency
-// histograms in a named registry, plus structured per-request trace events.
-// Pass an Observer in Config (or call Site.Instrument) to wire the
-// scheduler's decisions into a Registry and Tracer; with none configured
-// every hook is a single nil check.
+// histograms in a named registry. Site.Instrument exports a site's counters
+// (the scheduler's Stats among them) into a Registry; what happened to one
+// request is in the flight recorder below.
 type (
-	Registry     = obs.Registry
-	Counter      = obs.Counter
-	Gauge        = obs.Gauge
-	LatencyHist  = obs.Histogram
-	Tracer       = obs.Tracer
-	SlogTracer   = obs.SlogTracer
-	MemTracer    = obs.MemTracer
-	Observer     = core.Observer
-	SchedulerObs = core.TracingObserver
+	Registry    = obs.Registry
+	Counter     = obs.Counter
+	Gauge       = obs.Gauge
+	LatencyHist = obs.Histogram
 )
 
 // NewRegistry creates an empty metric registry; DefaultRegistry returns the
 // shared process-wide one (what gridd -debug serves on /metrics).
 func NewRegistry() *Registry     { return obs.NewRegistry() }
 func DefaultRegistry() *Registry { return obs.Default() }
-
-// NewSlogTracer emits trace events through a slog logger (nil for the
-// default logger).
-var NewSlogTracer = obs.NewSlogTracer
-
-// NewTracingObserver builds the standard Observer: counters into reg,
-// events into tr; either may be nil.
-func NewTracingObserver(reg *Registry, tr Tracer) *SchedulerObs {
-	return core.NewTracingObserver(reg, tr)
-}
 
 // Request tracing: each request's causal span tree, recorded by an
 // always-on per-process flight recorder with biased retention (errored and

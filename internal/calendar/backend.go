@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 
-	"coalloc/internal/dtree"
 	"coalloc/internal/period"
 )
 
@@ -50,7 +49,6 @@ type AvailabilityBackend interface {
 	SetOps(n uint64)
 	MutationEpoch() uint64
 	Breakdown() OpsBreakdown
-	SetTimings(cal *Timings, tree *dtree.Timings)
 
 	// The §4 operations.
 	Advance(now period.Time)

@@ -17,7 +17,6 @@ package calendar
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"coalloc/internal/dtree"
 	"coalloc/internal/period"
@@ -57,8 +56,6 @@ type Calendar struct {
 	ops       uint64 // operation counter: tree node visits and index probes
 	mut       uint64 // mutation epoch: bumped whenever an availability answer may change
 	breakdown OpsBreakdown
-	tm        *Timings       // optional wall-clock timings; see timings.go
-	dtm       *dtree.Timings // optional per-tree timings, shared by every slot
 	now       period.Time
 	genesis   period.Time        // creation time: left boundary of the very first idle period
 	base      int64              // absolute index of the earliest active slot
@@ -85,15 +82,6 @@ func New(cfg Config, now period.Time) (*Calendar, error) {
 	}
 	c.tails = newTailIndex(cfg.Servers, now, &c.ops)
 	return c, nil
-}
-
-// newTree creates a slot tree wired to the calendar's counters and timings.
-func (c *Calendar) newTree() *dtree.Tree {
-	t := dtree.New(&c.ops)
-	if c.dtm != nil {
-		t.SetTimings(c.dtm)
-	}
-	return t
 }
 
 // Ops returns the cumulative number of elementary operations (tree node
@@ -174,9 +162,6 @@ func (c *Calendar) Advance(now period.Time) {
 	if now < c.now {
 		panic(fmt.Sprintf("calendar: Advance to %d before current time %d", now, c.now))
 	}
-	if c.tm != nil {
-		defer c.tm.observe(c.tm.Rotate, time.Now())
-	}
 	defer c.attribute(&c.breakdown.Rotate)()
 	c.now = now
 	newBase := c.slotIndex(now)
@@ -189,13 +174,13 @@ func (c *Calendar) Advance(now period.Time) {
 		// The entire window expired (a long idle jump): rebuild wholesale.
 		c.base = newBase
 		for abs := newBase; abs < newBase+q; abs++ {
-			c.slots.set(abs, c.newTree())
+			c.slots.set(abs, dtree.New(&c.ops))
 			c.fillSlot(abs)
 		}
 		return
 	}
 	for abs := c.base + q; abs < newBase+q; abs++ {
-		c.slots.set(abs, c.newTree()) // drop the expired tree occupying this ring position
+		c.slots.set(abs, dtree.New(&c.ops)) // drop the expired tree occupying this ring position
 		c.fillSlot(abs)
 	}
 	c.base = newBase
@@ -268,9 +253,6 @@ func (c *Calendar) FindFeasible(start, end period.Time, want int) ([]period.Peri
 	if want <= 0 || end <= start {
 		return nil, 0
 	}
-	if c.tm != nil {
-		defer c.tm.observe(c.tm.Search, time.Now())
-	}
 	defer c.attribute(&c.breakdown.Search)()
 	q := c.slotIndex(start)
 	if q < c.base || q >= c.base+int64(c.cfg.Slots) || end > c.HorizonEnd() {
@@ -308,9 +290,6 @@ func (c *Calendar) RangeSearch(start, end period.Time) []period.Period {
 	if end <= start {
 		return nil
 	}
-	if c.tm != nil {
-		defer c.tm.observe(c.tm.Search, time.Now())
-	}
 	defer c.attribute(&c.breakdown.Search)()
 	q := c.slotIndex(start)
 	if q < c.base || q >= c.base+int64(c.cfg.Slots) || end > c.HorizonEnd() {
@@ -325,9 +304,6 @@ func (c *Calendar) RangeSearch(start, end period.Time) []period.Period {
 // The period is removed from every slot tree it overlaps and the remainders
 // j = (p.Start, start) and k = (end, p.End) are inserted, per §4.2.
 func (c *Calendar) Allocate(p period.Period, start, end period.Time) error {
-	if c.tm != nil {
-		defer c.tm.observe(c.tm.Update, time.Now())
-	}
 	defer c.attribute(&c.breakdown.Update)()
 	if !p.FeasibleFor(start, end) {
 		return fmt.Errorf("calendar: allocation [%d,%d) does not fit idle period %+v", start, end, p)
@@ -381,9 +357,6 @@ func (c *Calendar) PeriodCovering(server int, start, end period.Time) (period.Pe
 // cancels it entirely), and the freed time is merged back into the
 // surrounding idle periods so the complement invariant holds.
 func (c *Calendar) Release(server int, start, end, newEnd period.Time) error {
-	if c.tm != nil {
-		defer c.tm.observe(c.tm.Update, time.Now())
-	}
 	defer c.attribute(&c.breakdown.Update)()
 	if server < 0 || server >= c.cfg.Servers {
 		return fmt.Errorf("calendar: unknown server %d", server)

@@ -7,9 +7,7 @@ import (
 	"io"
 	"slices"
 	"sort"
-	"time"
 
-	"coalloc/internal/dtree"
 	"coalloc/internal/period"
 )
 
@@ -33,7 +31,6 @@ type Flat struct {
 	ops       uint64 // elementary operations: binary-search probes and element scans
 	mut       uint64 // mutation epoch; same bump points as Calendar
 	breakdown OpsBreakdown
-	tm        *Timings // optional wall-clock timings; flat has no per-tree layer
 	now       period.Time
 	genesis   period.Time
 	base      int64                  // absolute index of the earliest active slot
@@ -100,11 +97,6 @@ func (f *Flat) WindowStart() period.Time {
 func (f *Flat) HorizonEnd() period.Time {
 	return period.Time((f.base + int64(f.cfg.Slots)) * int64(f.cfg.SlotSize))
 }
-
-// SetTimings installs wall-clock timing collection. The tree argument is
-// accepted for interface compatibility and ignored: flat slots have no
-// per-tree instrumentation layer.
-func (f *Flat) SetTimings(cal *Timings, _ *dtree.Timings) { f.tm = cal }
 
 // attribute returns a closure that adds the ops spent since the call to the
 // given phase bucket.
@@ -183,9 +175,6 @@ func flatFeasible(cands []period.Period, end period.Time, max int, ops *uint64, 
 func (f *Flat) Advance(now period.Time) {
 	if now < f.now {
 		panic(fmt.Sprintf("calendar: Advance to %d before current time %d", now, f.now))
-	}
-	if f.tm != nil {
-		defer f.tm.observe(f.tm.Rotate, time.Now())
 	}
 	defer f.attribute(&f.breakdown.Rotate)()
 	f.now = now
@@ -270,9 +259,6 @@ func (f *Flat) FindFeasible(start, end period.Time, want int) ([]period.Period, 
 	if want <= 0 || end <= start {
 		return nil, 0
 	}
-	if f.tm != nil {
-		defer f.tm.observe(f.tm.Search, time.Now())
-	}
 	defer f.attribute(&f.breakdown.Search)()
 	q := f.slotIndex(start)
 	if q < f.base || q >= f.base+int64(f.cfg.Slots) || end > f.HorizonEnd() {
@@ -305,9 +291,6 @@ func (f *Flat) RangeSearch(start, end period.Time) []period.Period {
 	if end <= start {
 		return nil
 	}
-	if f.tm != nil {
-		defer f.tm.observe(f.tm.Search, time.Now())
-	}
 	defer f.attribute(&f.breakdown.Search)()
 	q := f.slotIndex(start)
 	if q < f.base || q >= f.base+int64(f.cfg.Slots) || end > f.HorizonEnd() {
@@ -322,9 +305,6 @@ func (f *Flat) RangeSearch(start, end period.Time) []period.Period {
 // period p — identical semantics to Calendar.Allocate, including the epoch
 // bump on success only.
 func (f *Flat) Allocate(p period.Period, start, end period.Time) error {
-	if f.tm != nil {
-		defer f.tm.observe(f.tm.Update, time.Now())
-	}
 	defer f.attribute(&f.breakdown.Update)()
 	if !p.FeasibleFor(start, end) {
 		return fmt.Errorf("calendar: allocation [%d,%d) does not fit idle period %+v", start, end, p)
@@ -373,9 +353,6 @@ func (f *Flat) PeriodCovering(server int, start, end period.Time) (period.Period
 // Release truncates the reservation [start, end) on server to end at newEnd
 // — identical semantics and epoch behaviour to Calendar.Release.
 func (f *Flat) Release(server int, start, end, newEnd period.Time) error {
-	if f.tm != nil {
-		defer f.tm.observe(f.tm.Update, time.Now())
-	}
 	defer f.attribute(&f.breakdown.Update)()
 	if server < 0 || server >= f.cfg.Servers {
 		return fmt.Errorf("calendar: unknown server %d", server)

@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"coalloc/internal/calendar"
-	"coalloc/internal/dtree"
 	"coalloc/internal/job"
 	"coalloc/internal/period"
 )
@@ -40,9 +39,6 @@ type Config struct {
 	// "dtree" (the paper's 2-D tree) or "flat" (contiguous slot profiles);
 	// see calendar.Backends. Empty selects calendar.DefaultBackend.
 	Backend string
-	// Observer, if non-nil, receives lifecycle callbacks (see Observer).
-	// With no observer every hook reduces to a nil check.
-	Observer Observer
 }
 
 func (c *Config) applyDefaults() {
@@ -110,7 +106,6 @@ type Scheduler struct {
 	cfg   Config
 	cal   calendar.AvailabilityBackend
 	stats Stats
-	obs   Observer // copy of cfg.Observer; nil disables all hooks
 }
 
 // New creates a scheduler whose clock starts at now with all servers idle.
@@ -124,20 +119,7 @@ func New(cfg Config, now period.Time) (*Scheduler, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Scheduler{cfg: cfg, cal: cal, obs: cfg.Observer}, nil
-}
-
-// SetObserver installs (or, with nil, removes) the lifecycle observer after
-// construction — the path used when a scheduler is restored from a snapshot.
-func (s *Scheduler) SetObserver(o Observer) {
-	s.obs = o
-	s.cfg.Observer = o
-}
-
-// SetTimings installs wall-clock timing collection on the underlying
-// calendar and its slot trees; see calendar.Timings and dtree.Timings.
-func (s *Scheduler) SetTimings(cal *calendar.Timings, tree *dtree.Timings) {
-	s.cal.SetTimings(cal, tree)
+	return &Scheduler{cfg: cfg, cal: cal}, nil
 }
 
 // Config returns the scheduler's effective configuration (with defaults
@@ -189,14 +171,8 @@ func (s *Scheduler) Submit(r job.Request) (job.Allocation, error) {
 	}
 	s.Advance(r.Submit)
 	s.stats.Submitted++
-	if s.obs != nil {
-		s.obs.JobSubmitted(r)
-	}
 	if r.Servers > s.cfg.Servers {
 		s.stats.Rejected++
-		if s.obs != nil {
-			s.obs.JobRejected(r, ReasonTooWide, 0)
-		}
 		return job.Allocation{}, &RejectionError{Job: r, Reason: ReasonTooWide}
 	}
 
@@ -223,9 +199,6 @@ func (s *Scheduler) Submit(r job.Request) (job.Allocation, error) {
 		if start > latest {
 			s.stats.Rejected++
 			s.stats.TotalAttempts += uint64(attempts)
-			if s.obs != nil {
-				s.obs.JobRejected(r, ReasonDeadline, attempts)
-			}
 			return job.Allocation{}, &RejectionError{Job: r, Attempts: attempts, LastTry: start, Reason: ReasonDeadline}
 		}
 		end := start.Add(r.Duration)
@@ -233,17 +206,11 @@ func (s *Scheduler) Submit(r job.Request) (job.Allocation, error) {
 			// Retrying only moves the job later, so this cannot recover.
 			s.stats.Rejected++
 			s.stats.TotalAttempts += uint64(attempts)
-			if s.obs != nil {
-				s.obs.JobRejected(r, ReasonBeyondHorizon, attempts)
-			}
 			return job.Allocation{}, &RejectionError{Job: r, Attempts: attempts, LastTry: start, Reason: ReasonBeyondHorizon}
 		}
 		attempts++
 
-		feasible, candidates := s.findFeasible(start, end, r.Servers)
-		if s.obs != nil {
-			s.obs.Attempt(r, attempts, start, candidates, len(feasible), r.Servers)
-		}
+		feasible := s.findFeasible(start, end, r.Servers)
 		if len(feasible) >= r.Servers {
 			chosen := s.cfg.Policy.Select(feasible, start, end, r.Servers)
 			servers := make([]int, 0, r.Servers)
@@ -258,37 +225,30 @@ func (s *Scheduler) Submit(r job.Request) (job.Allocation, error) {
 			}
 			s.stats.Accepted++
 			s.stats.TotalAttempts += uint64(attempts)
-			alloc := job.Allocation{
+			return job.Allocation{
 				Job:      r,
 				Servers:  servers,
 				Start:    start,
 				End:      end,
 				Attempts: attempts,
 				Wait:     period.Duration(start - r.Start),
-			}
-			if s.obs != nil {
-				s.obs.JobAccepted(alloc)
-			}
-			return alloc, nil
+			}, nil
 		}
 		start = start.Add(deltaT)
 	}
 	s.stats.Rejected++
 	s.stats.TotalAttempts += uint64(attempts)
-	if s.obs != nil {
-		s.obs.JobRejected(r, ReasonAttemptsExhausted, attempts)
-	}
 	return job.Allocation{}, &RejectionError{Job: r, Attempts: attempts, LastTry: start, Reason: ReasonAttemptsExhausted}
 }
 
-// findFeasible returns up to want feasible periods plus the phase-1
-// candidate count (for the attempt statistics and the Observer).
-func (s *Scheduler) findFeasible(start, end period.Time, want int) ([]period.Period, int) {
+// findFeasible returns up to want feasible periods; a policy that ranks
+// every feasible period gets the whole range search instead.
+func (s *Scheduler) findFeasible(start, end period.Time, want int) []period.Period {
 	if s.cfg.Policy.NeedsAll() {
-		all := s.cal.RangeSearch(start, end)
-		return all, len(all)
+		return s.cal.RangeSearch(start, end)
 	}
-	return s.cal.FindFeasible(start, end, want)
+	feasible, _ := s.cal.FindFeasible(start, end, want)
+	return feasible
 }
 
 // RangeSearch returns every idle period available for the window
@@ -386,9 +346,6 @@ func (s *Scheduler) Release(alloc job.Allocation, at period.Time) error {
 		}
 	}
 	s.stats.Releases++
-	if s.obs != nil {
-		s.obs.Released(alloc, at)
-	}
 	return nil
 }
 

@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"coalloc/internal/period"
 )
@@ -57,9 +56,8 @@ const (
 // use; call New.
 type Tree struct {
 	root *node
-	ops  *uint64  // operation counter shared with the owner; may be nil
-	tm   *Timings // optional wall-clock timing hooks; see timings.go
-	pool pool     // node recycler; see pool.go
+	ops  *uint64 // operation counter shared with the owner; may be nil
+	pool pool    // node recycler; see pool.go
 }
 
 // node is a node of the primary tree. Leaves (left == nil) carry a period;
@@ -107,9 +105,6 @@ func (t *Tree) Len() int { return t.root.count() }
 // panics, because duplicate idle periods violate the calendar invariant that
 // a server's idle periods are disjoint.
 func (t *Tree) Insert(p period.Period) {
-	if t.tm != nil {
-		defer t.tm.observe(t.tm.Update, time.Now())
-	}
 	if t.root == nil {
 		t.root = t.pool.node()
 		t.root.p = p
@@ -183,9 +178,6 @@ func (t *Tree) rebalanceAlong(p period.Period) {
 
 // Delete removes the period from the tree, reporting whether it was present.
 func (t *Tree) Delete(p period.Period) bool {
-	if t.tm != nil {
-		defer t.tm.observe(t.tm.Update, time.Now())
-	}
 	if t.root == nil {
 		return false
 	}
@@ -266,9 +258,6 @@ func (t *Tree) Has(p period.Period) bool {
 // leaf-oriented tree, rebuilding every secondary tree. Cost O(k log k) for a
 // subtree of k leaves.
 func (t *Tree) rebuild(n *node) *node {
-	if t.tm != nil {
-		defer t.tm.observe(t.tm.Rebuild, time.Now())
-	}
 	leaves := make([]period.Period, 0, n.count())
 	collect(n, &leaves)
 	t.pool.releaseTree(n)
@@ -372,9 +361,6 @@ func (t *Tree) phase1(s period.Time) []*node {
 // If fewer than max candidates exist, Phase 2 is skipped entirely, exactly
 // as the paper prescribes, and Search returns (nil, candidates).
 func (t *Tree) Search(start, end period.Time, max, room int) (feasible []period.Period, candidates int) {
-	if t.tm != nil {
-		defer t.tm.observe(t.tm.Search, time.Now())
-	}
 	marks := t.phase1(start)
 	for _, m := range marks {
 		candidates += m.count()
@@ -410,7 +396,7 @@ func (t *Tree) Search(start, end period.Time, max, room int) (feasible []period.
 // tree referenced by a published read-only view is cloned before its first
 // mutation, leaving the view's copy frozen.
 func (t *Tree) Clone(ops *uint64) *Tree {
-	out := &Tree{ops: ops, tm: t.tm}
+	out := &Tree{ops: ops}
 	if t.root == nil {
 		return out
 	}

@@ -1,8 +1,9 @@
 package grid
 
 // Allocation pins for the in-process co-allocation path: a view-served probe
-// counts without listing, and a publish nobody waits for makes no watch
-// channel. The race detector allocates, so both skip under -race.
+// counts without listing, a view-served range search allocates only its
+// listing, and a publish nobody waits for makes no watch channel. The race
+// detector allocates, so all three skip under -race.
 
 import (
 	"fmt"
@@ -53,6 +54,40 @@ func TestProbeViewAllocatesNothing(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestRangeSearchViewAllocatesOnlyItsResult: a range search the published
+// view answers allocates what the view's own listing does and nothing more;
+// the epoch and site clock returned beside it stay off the heap.
+func TestRangeSearchViewAllocatesOnlyItsResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	const slot = 15 * period.Minute
+	forEachBackend(t, func(t *testing.T, backend string) {
+		s := mustSiteBackend(t, "a", 64, backend)
+		for i := 0; i < 16; i++ {
+			start := period.Time(i) * period.Time(2*slot)
+			hold := fmt.Sprintf("h%d", i)
+			if _, err := s.Prepare(0, hold, start, start+period.Time(slot), 1+i%4, period.Hour); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Commit(0, hold); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v := s.view.Load()
+		for _, w := range [][2]period.Time{{0, period.Time(slot)}, {period.Time(10 * slot), period.Time(14 * slot)}, {period.Time(40*slot + 7), period.Time(41 * slot)}} {
+			want := testing.AllocsPerRun(100, func() { _ = v.cal.RangeSearch(w[0], w[1]) })
+			var got []period.Period
+			if allocs := testing.AllocsPerRun(100, func() { got, _, _ = s.RangeSearchView(0, w[0], w[1]) }); allocs != want {
+				t.Errorf("RangeSearchView(%d, %d) allocates %v times, its listing %v", w[0], w[1], allocs, want)
+			}
+			if len(got) == 0 {
+				t.Errorf("RangeSearchView(%d, %d) listed nothing", w[0], w[1])
+			}
+		}
+	})
 }
 
 // TestPublishWithoutWatcherMakesNoChannel: a commit-only batch on a site with

@@ -167,8 +167,6 @@ type BrokerConfig struct {
 	// latencies under the "broker." prefix. The counters are the ones Stats
 	// reads, so brokers given the same Registry report their sum.
 	Registry *obs.Registry
-	// Tracer, if non-nil, receives per-request prepare/commit/abort events.
-	Tracer obs.Tracer
 	// Recorder receives the broker's completed request traces. When nil,
 	// NewBroker creates one with default retention unless NoTrace is set:
 	// the flight recorder is always on, cheap enough to leave enabled.
@@ -317,8 +315,8 @@ func NewBroker(cfg BrokerConfig, sites ...Conn) (*Broker, error) {
 		for _, c := range ordered {
 			if rn, ok := c.(retargetNotifier); ok {
 				site := c.Name()
-				rn.OnRetarget(func(target string) {
-					b.dropCached(site, "failover", slog.String("target", target))
+				rn.OnRetarget(func(string) {
+					b.dropCached(site)
 				})
 			}
 		}
@@ -370,13 +368,6 @@ func (b *Broker) jitter(d time.Duration) time.Duration {
 // built with NoTrace.
 func (b *Broker) Recorder() *obs.Recorder { return b.rec }
 
-// event emits a tracer event if a tracer is configured.
-func (b *Broker) event(name string, attrs ...slog.Attr) {
-	if b.cfg.Tracer != nil {
-		b.cfg.Tracer.Event(name, attrs...)
-	}
-}
-
 // Stats returns a snapshot of the broker's counters.
 func (b *Broker) Stats() (s BrokerStats) {
 	b.m.snapshot(&s)
@@ -409,23 +400,19 @@ func (b *Broker) CoAllocate(now period.Time, req Request) (MultiAllocation, erro
 	}
 	b.m.inc(cRequests)
 	// The root span of the request's trace: every ladder attempt, per-site
-	// RPC, and (across the wire) site-side span parents under it.
+	// RPC, and (across the wire) site-side span parents under it. It is the
+	// request's one record: a refusal adds its reason and attempt count.
 	root := b.rec.StartSpan("broker.coallocate",
 		slog.Int64("job", req.ID),
-		slog.Int("servers", req.Servers))
+		slog.Int("servers", req.Servers),
+		slog.Int64("start", int64(req.Start)),
+		slog.Int64("duration", int64(req.Duration)))
 	defer root.End()
 	defer latency(b.m.requestLatency, root.TraceID())()
-	if b.cfg.Tracer != nil { // an event's attrs escape to the heap even with no tracer
-		b.event(obs.EventSubmit,
-			slog.Int64("job", req.ID),
-			slog.Int("servers", req.Servers),
-			slog.Int64("start", int64(req.Start)),
-			slog.Int64("duration", int64(req.Duration)))
-	}
 
-	reject := func(err error, reason string, detail slog.Attr) {
+	reject := func(err error, reason string, attempts int) {
 		root.Fail(err)
-		b.event(obs.EventReject, slog.Int64("job", req.ID), slog.String("reason", reason), detail)
+		root.Annotate(slog.String("reason", reason), slog.Int("attempts", attempts))
 	}
 	start := max(req.Start, now)
 	if b.cfg.BatchProbe && b.cache != nil {
@@ -442,39 +429,26 @@ func (b *Broker) CoAllocate(now period.Time, req Request) (MultiAllocation, erro
 		switch r.outcome {
 		case windowGranted:
 			root.Annotate(slog.String("hold", r.hold), slog.Int("attempts", attempt))
-			if b.cfg.Tracer != nil {
-				b.event(obs.EventAccept,
-					slog.Int64("job", req.ID),
-					slog.String("hold", r.hold),
-					slog.Int("attempts", attempt),
-					slog.Int64("start", int64(start)))
-			}
 			return MultiAllocation{HoldID: r.hold, Start: r.start, End: r.end, Shares: r.granted, Attempts: attempt}, nil
 		case windowPartial:
 			// The grid may be inconsistent until leases expire; do not
 			// retry automatically on the caller's behalf.
-			reject(r.err, "partial commit", slog.String("hold", r.hold))
+			reject(r.err, "partial commit", attempt)
 			return MultiAllocation{}, r.err
 		case allUnreachable:
 			// An outage, not capacity exhaustion: walking the Δt ladder
 			// would just repeat the same timed-out probe round MaxAttempts
 			// times. Fail fast and distinctly so callers (and dashboards)
 			// can tell "the grid is full" from "the grid is gone".
-			reject(r.err, "all sites unreachable", slog.Int("attempt", attempt))
+			reject(r.err, "all sites unreachable", attempt)
 			return MultiAllocation{}, fmt.Errorf("grid: co-allocation impossible: %w", r.err)
 		}
 		lastErr = r.err
 		start = start.Add(b.cfg.DeltaT)
-		if attempt < b.cfg.MaxAttempts {
-			b.event(obs.EventRetry,
-				slog.Int64("job", req.ID),
-				slog.Int("attempt", attempt+1),
-				slog.Int64("start", int64(start)))
-		}
 	}
 	b.m.inc(cRejected)
 	reject(fmt.Errorf("%w after %d attempts", ErrNoCapacity, b.cfg.MaxAttempts),
-		"no window with sufficient capacity", slog.Int("attempts", b.cfg.MaxAttempts))
+		"no window with sufficient capacity", b.cfg.MaxAttempts)
 	return MultiAllocation{}, fmt.Errorf("%w (last: %v)", ErrNoCapacity, lastErr)
 }
 
@@ -506,8 +480,6 @@ func (b *Broker) Release(now period.Time, alloc MultiAllocation) error {
 			err = fmt.Errorf("grid: release of %s: unknown site %q", alloc.HoldID, sh.Site)
 		} else if err = b.decide(root, site, now, alloc.HoldID, "release", true); err != nil {
 			err = fmt.Errorf("grid: release of %s at %s: %w", alloc.HoldID, sh.Site, err)
-		} else {
-			b.event(obs.EventAbort, slog.String("hold", alloc.HoldID), slog.String("site", sh.Site), slog.Bool("release", true))
 		}
 		if firstErr == nil {
 			firstErr = err

@@ -193,7 +193,7 @@ func sameIncarnation(salt, epoch uint64) bool {
 // or a straggler from a deposed incarnation — is recorded as reordered and
 // changes nothing: adopting it would regress sc.epoch and let subsequent
 // stores cache answers computed under retired state. It returns how many
-// entries were dropped so the caller can emit a trace event.
+// entries were dropped.
 func (pc *probeCache) observe(site string, epoch uint64) int {
 	if epoch == 0 {
 		return 0 // epoch-less site: nothing was cached, nothing to retire
@@ -313,19 +313,17 @@ func (pc *probeCache) store(site string, kind uint8, start, end period.Time, r r
 // invalidate drops every entry of one site — the broker just sent it 2PC
 // traffic, or re-targeted the connection at a promoted standby. It always
 // bumps the site's invalidation generation, entries or not: a flight in
-// progress must not store its (possibly pre-mutation) reply either way. It
-// reports whether any entries were dropped.
-func (pc *probeCache) invalidate(site string) bool {
+// progress must not store its (possibly pre-mutation) reply either way.
+func (pc *probeCache) invalidate(site string) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	pc.gens[site]++
 	sc := pc.sites[site]
 	if sc == nil || len(sc.entries) == 0 {
-		return false
+		return
 	}
 	sc.entries = make(map[entryKey]*cacheEntry)
 	pc.m.inc(cCacheInvalidations)
-	return true
 }
 
 // gap records a watch-stream gap for site: entries drop conservatively (a
@@ -333,14 +331,14 @@ func (pc *probeCache) invalidate(site string) bool {
 // replies are refused, and the salt is forgotten — the stream is no longer
 // authoritative for the current incarnation, so reply-driven epoch adoption
 // takes back over until the stream re-establishes.
-func (pc *probeCache) gap(site string) bool {
+func (pc *probeCache) gap(site string) {
 	pc.m.inc(cCacheWatchGaps)
 	pc.mu.Lock()
 	if sc := pc.sites[site]; sc != nil {
 		sc.salt = 0
 	}
 	pc.mu.Unlock()
-	return pc.invalidate(site)
+	pc.invalidate(site)
 }
 
 // genOf snapshots the site's invalidation generation, for callers (the

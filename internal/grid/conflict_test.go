@@ -143,6 +143,22 @@ func TestTryWindowConflictRetrySavesWindow(t *testing.T) {
 	if st.Aborts != 0 {
 		t.Fatalf("the saved window aborted %d holds; the prepared prefix should have been kept", st.Aborts)
 	}
+	// The lost prepare's span says at which site epoch it lost.
+	var conflicted int
+	for _, tr := range b.Recorder().Traces(obs.TraceQuery{}) {
+		for _, sp := range tr.Spans {
+			if sp.Name != "broker.prepare" || sp.Err == "" {
+				continue
+			}
+			conflicted++
+			if v, ok := attr(sp, "epoch"); !ok || v.Uint64() != sb.Epoch() {
+				t.Errorf("conflicted prepare span epoch = %v (present %v), want the thief's epoch %d", v, ok, sb.Epoch())
+			}
+		}
+	}
+	if conflicted != 1 {
+		t.Errorf("%d errored broker.prepare spans, want 1", conflicted)
+	}
 }
 
 // TestTryWindowConflictRetryDisabledBurnsWindow: with ConflictRetries < 0

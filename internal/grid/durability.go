@@ -9,7 +9,6 @@ import (
 
 	"coalloc/internal/core"
 	"coalloc/internal/job"
-	"coalloc/internal/obs"
 	"coalloc/internal/period"
 )
 
@@ -78,7 +77,7 @@ const (
 	OpExpire
 )
 
-// String names the op for reports and traces.
+// String names the op for reports and errors.
 func (k OpKind) String() string {
 	switch k {
 	case OpPrepare:
@@ -352,7 +351,6 @@ func (s *Site) Checkpoint() error {
 		s.poison(err)
 		return fmt.Errorf("grid %s: checkpoint: %w", s.name, err)
 	}
-	s.event(obs.EventCheckpoint, slog.Int("bytes", buf.Len()))
 	return nil
 }
 

@@ -4,13 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"net"
 	"os"
 	"sync"
 	"time"
-
-	"coalloc/internal/obs"
 )
 
 // ErrCircuitOpen marks a site the broker is deliberately not talking to:
@@ -93,7 +90,7 @@ func (h *siteHealth) allow(now time.Time) bool {
 
 // success records a successful interaction. It reports whether the circuit
 // closed as a result (it was open or half-open before), so the broker can
-// emit a recovery event exactly once.
+// count a recovery exactly once.
 func (h *siteHealth) success() (recovered bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -169,12 +166,12 @@ func breakerStateName(s int) string {
 
 // feed records in site i's breaker the outcome of a call this goroutine made
 // to it. Success closes the breaker if it was open; failure does the timeout
-// accounting, the consecutive-failure tracking, and the open transition with
-// its event and counter.
+// accounting, the consecutive-failure tracking, and the open transition. Each
+// transition has its counter.
 func (b *Broker) feed(i int, err error) {
 	if err == nil {
 		if b.health[i].success() {
-			b.event(obs.EventBreakerClose, slog.String("site", b.sites[i].Name()))
+			b.m.inc(cBreakerClose)
 		}
 		return
 	}
@@ -183,7 +180,6 @@ func (b *Broker) feed(i int, err error) {
 	}
 	if b.health[i].failure(b.clock(), b.cfg.BreakerThreshold, b.cfg.BreakerCooldown, b.cfg.BreakerCooldownMax, b.jitter) {
 		b.m.inc(cBreakerOpen)
-		b.event(obs.EventBreakerOpen, slog.String("site", b.sites[i].Name()), slog.String("cause", err.Error()))
 		b.tryFailover(i, err)
 	}
 }
@@ -201,13 +197,10 @@ func (b *Broker) tryFailover(i int, cause error) {
 	if !ok {
 		return
 	}
-	target, err := fc.Failover("breaker open: " + cause.Error())
-	if err != nil {
+	if _, err := fc.Failover("breaker open: " + cause.Error()); err != nil {
 		// No standby left (or promotion failed): the breaker stays open and
 		// cools down like any plain outage.
-		b.event(obs.EventFailover,
-			slog.String("site", c.Name()),
-			slog.String("err", err.Error()))
+		b.m.inc(cFailoverFailed)
 		return
 	}
 	// The promoted standby is a different node under the same name: close
@@ -216,12 +209,8 @@ func (b *Broker) tryFailover(i int, cause error) {
 	// anyway, but there is no reason to wait for the epoch protocol to
 	// retire them one probe at a time.
 	b.health[i].success()
-	b.dropCached(c.Name(), "2pc")
+	b.dropCached(c.Name())
 	b.m.inc(cFailovers)
-	b.event(obs.EventFailover,
-		slog.String("site", c.Name()),
-		slog.String("target", target),
-		slog.String("cause", cause.Error()))
 }
 
 // breakerOpenFor reports (and accounts) whether site i's circuit is open at

@@ -3,12 +3,10 @@ package grid
 import (
 	"fmt"
 	"io"
-	"log/slog"
 	"time"
 
 	"coalloc/internal/calendar"
 	"coalloc/internal/core"
-	"coalloc/internal/dtree"
 	"coalloc/internal/obs"
 	"coalloc/internal/period"
 )
@@ -171,47 +169,36 @@ func (s *Site) Status() SiteStatus {
 	}
 }
 
-// Instrument installs telemetry on the site: the scheduler gains a
-// core.TracingObserver and calendar/tree timing histograms, the site's 2PC
-// counters and pending-hold gauge are exported through reg, and prepare/
-// commit/abort/expire decisions are emitted as tracer events. Either
-// argument may be nil to skip that sink. Call before serving traffic.
-func (s *Site) Instrument(reg *obs.Registry, tr obs.Tracer) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tracer = tr
-	if tr != nil || reg != nil {
-		s.sched.SetObserver(core.NewTracingObserver(reg, tr))
+// schedCounters are the embedded scheduler's lifetime counters that
+// Instrument exports, read from core.Stats at render time.
+var schedCounters = []struct {
+	name, help string
+	value      func(core.Stats) float64
+}{
+	{"sched.submitted", "requests entering Submit", func(st core.Stats) float64 { return float64(st.Submitted) }},
+	{"sched.accepted", "requests granted an allocation", func(st core.Stats) float64 { return float64(st.Accepted) }},
+	{"sched.rejected", "requests finally rejected", func(st core.Stats) float64 { return float64(st.Rejected) }},
+	{"sched.attempts", "scheduling attempts over all requests", func(st core.Stats) float64 { return float64(st.TotalAttempts) }},
+	{"sched.releases", "early releases", func(st core.Stats) float64 { return float64(st.Releases) }},
+}
+
+// Instrument exports the site's counters through reg: the embedded
+// scheduler's core.Stats under "sched.", the 2PC counters under "site." and
+// the pending-hold gauge. Every value is read when reg renders. Per-request
+// detail is in the flight recorder's spans; see SetRecorder.
+func (s *Site) Instrument(reg *obs.Registry) {
+	for _, c := range schedCounters {
+		reg.Func(c.name, func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return c.value(s.sched.Stats())
+		})
+		reg.Help(c.name, c.help)
 	}
-	if reg == nil {
-		return
-	}
-	s.sched.SetTimings(
-		&calendar.Timings{
-			Search: reg.Histogram("calendar.search.latency"),
-			Update: reg.Histogram("calendar.update.latency"),
-			Rotate: reg.Histogram("calendar.rotate.latency"),
-		},
-		&dtree.Timings{
-			Search:  reg.Histogram("dtree.search.latency"),
-			Update:  reg.Histogram("dtree.update.latency"),
-			Rebuild: reg.Histogram("dtree.rebuild.latency"),
-		},
-	)
-	reg.Help("calendar.search.latency", "two-phase and range search wall time")
-	reg.Help("calendar.update.latency", "allocate/release maintenance wall time")
-	reg.Help("calendar.rotate.latency", "slot expiry and horizon extension wall time")
 	reg.Func("site.pending_holds", func() float64 { return float64(s.PendingHolds()) })
 	reg.Func("site.prepared", func() float64 { p, _, _, _ := s.Stats(); return float64(p) })
 	reg.Func("site.committed", func() float64 { _, c, _, _ := s.Stats(); return float64(c) })
 	reg.Func("site.aborted", func() float64 { _, _, a, _ := s.Stats(); return float64(a) })
 	reg.Func("site.expired", func() float64 { _, _, _, e := s.Stats(); return float64(e) })
 	reg.Help("site.pending_holds", "prepared holds awaiting a 2PC decision")
-}
-
-// event emits a tracer event if a tracer is installed; callers hold s.mu.
-func (s *Site) event(name string, attrs ...slog.Attr) {
-	if s.tracer != nil {
-		s.tracer.Event(name, attrs...)
-	}
 }

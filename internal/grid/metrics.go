@@ -57,8 +57,10 @@ const (
 	cConflictWindowSaved
 	cProbeUnreachable
 	cBreakerOpen
+	cBreakerClose
 	cBreakerSkips
 	cFailovers
+	cFailoverFailed
 	cRPCTimeouts
 	cCacheHits
 	cCacheMisses
@@ -74,7 +76,7 @@ const (
 )
 
 // brokerCounters declares every broker counter once: the BrokerStats or
-// CacheStats field that reports it (none for the five a snapshot leaves
+// CacheStats field that reports it (none for the seven a snapshot leaves
 // out), its registry name and its help line.
 var brokerCounters = [numCounters]struct{ field, name, help string }{
 	cRequests:            {"Requests", "broker.requests", "cross-site co-allocation requests"},
@@ -89,8 +91,10 @@ var brokerCounters = [numCounters]struct{ field, name, help string }{
 	cConflictWindowSaved: {"ConflictWindowSaved", "broker.conflict_window_saved", "conflicted windows that still committed without burning a retry rung"},
 	cProbeUnreachable:    {"", "broker.probe.unreachable", "probe rounds that failed to reach a site"},
 	cBreakerOpen:         {"", "broker.site.breaker_open", "circuit breakers opened after consecutive site failures"},
+	cBreakerClose:        {"", "broker.site.breaker_close", "circuit breakers closed by a successful call"},
 	cBreakerSkips:        {"", "broker.site.breaker_skips", "site calls skipped while a circuit was open"},
 	cFailovers:           {"", "broker.site.failovers", "standbys promoted after a site's breaker stuck open"},
+	cFailoverFailed:      {"", "broker.site.failover_failed", "breaker-driven failovers that found no standby to promote"},
 	cRPCTimeouts:         {"", "broker.rpc.timeout", "site RPCs that exceeded their deadline"},
 	cCacheHits:           {"Hits", "broker.cache.hits", "probes answered from the availability cache"},
 	cCacheMisses:         {"Misses", "broker.cache.misses", "probes that required a site round trip"},

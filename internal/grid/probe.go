@@ -2,7 +2,6 @@ package grid
 
 import (
 	"fmt"
-	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -167,24 +166,17 @@ func (b *Broker) fetch(i int, kind uint8, tc obs.SpanContext, t0 time.Time, now,
 // one retires every entry of the site — then the answer itself, unless the
 // site was invalidated since gen was taken.
 func (b *Broker) cacheReply(site string, kind uint8, start, end period.Time, r reply, gen uint64) {
-	if dropped := b.cache.observe(site, r.probe.Epoch); dropped > 0 {
-		b.event(obs.EventCacheInvalidate,
-			slog.String("site", site),
-			slog.String("cause", "epoch"),
-			slog.Int("entries", dropped))
-	}
+	b.cache.observe(site, r.probe.Epoch)
 	b.cache.store(site, kind, start, end, r, gen)
 }
 
-// dropCached drops a site's cached availability and says why. The broker
-// does so around its own 2PC traffic (cause "2pc") whatever the outcome:
-// prepare and abort always mutate the site on success, and even a failed or
-// timed-out prepare may have landed there — the next probe refetches and
-// re-learns the site's epoch either way.
-func (b *Broker) dropCached(site, cause string, more ...slog.Attr) {
-	if b.cache != nil && b.cache.invalidate(site) && b.cfg.Tracer != nil {
-		b.cfg.Tracer.Event(obs.EventCacheInvalidate,
-			append([]slog.Attr{slog.String("site", site), slog.String("cause", cause)}, more...)...)
+// dropCached drops a site's cached availability. The broker does so around
+// its own 2PC traffic whatever the outcome: prepare and abort always mutate
+// the site on success, and even a failed or timed-out prepare may have landed
+// there — the next probe refetches and re-learns the site's epoch either way.
+func (b *Broker) dropCached(site string) {
+	if b.cache != nil {
+		b.cache.invalidate(site)
 	}
 }
 

@@ -3,10 +3,7 @@ package grid
 import (
 	"errors"
 	"fmt"
-	"log/slog"
 	"strings"
-
-	"coalloc/internal/obs"
 )
 
 // Replica roles. A site serves in one of two roles: primary (the default —
@@ -82,7 +79,6 @@ func (s *Site) Promote() (uint64, error) {
 	s.epochSalt = newEpochSalt()
 	s.publishLocked()
 	epoch := s.epochSalt + s.sched.MutationEpoch()
-	s.event(obs.EventPromote, slog.Uint64("epoch", epoch))
 	return epoch, nil
 }
 
@@ -98,7 +94,6 @@ func (s *Site) Fence(cause string) {
 	}
 	s.fencedFlag.Store(true)
 	s.fenceCause = cause
-	s.event(obs.EventFenced, slog.String("cause", cause))
 }
 
 // Fenced reports whether the site was fenced, and why.

@@ -317,15 +317,10 @@ func (b *Broker) runRound(sp *obs.ActiveSpan, now, start, end period.Time, total
 			}
 			commit.Fail(a.err)
 			commit.End()
-			b.dropCached(c.Name(), "2pc")
-			if a.err == nil && b.cfg.Tracer != nil {
-				b.event(obs.EventCommit, slog.String("hold", r.hold), slog.String("site", c.Name()))
-			}
+			b.dropCached(c.Name())
 		case phAbort:
 			// Best effort; leases back us up.
-			if a.err = b.decide(sp, st.site, now, r.hold, st.cause, false); a.err == nil {
-				b.event(obs.EventAbort, slog.String("hold", r.hold), slog.String("site", c.Name()))
-			}
+			a.err = b.decide(sp, st.site, now, r.hold, st.cause, false)
 		}
 		st = r.advance(a)
 	}
@@ -340,30 +335,24 @@ func (b *Broker) prepare(sp *obs.ActiveSpan, r *round, st step) ([]int, error) {
 		slog.String("hold", hold),
 		slog.Int("servers", st.servers))
 	servers, err := connPrepare(c, ps.Context(), r.now, hold, r.start, r.end, st.servers, b.cfg.Lease, st.epoch)
+	conflict := asConflict(err)
+	if conflict != nil {
+		ps.Annotate(slog.Uint64("epoch", conflict.Epoch))
+	}
 	ps.Fail(err)
 	ps.End()
 	// Prepare is a mutation whether it succeeded or not (a timed-out one may
 	// have landed), so the site's cached availability is void either way —
 	// and a prepare answered under a stale idea of the site's state is
 	// exactly what the epoch protocol exists to flush.
-	b.dropCached(c.Name(), "2pc")
-	if conflict := asConflict(err); conflict != nil {
+	b.dropCached(c.Name())
+	if conflict != nil {
 		// The site answered; losing an optimistic-concurrency race is not an
 		// outage, so the breaker sees a success.
 		b.feed(st.site, nil)
-		b.event(obs.EventConflict,
-			slog.String("hold", hold),
-			slog.String("site", c.Name()),
-			slog.Uint64("epoch", conflict.Epoch))
 		return nil, err
 	}
 	b.feed(st.site, err)
-	if err == nil && b.cfg.Tracer != nil {
-		b.event(obs.EventPrepare,
-			slog.String("hold", hold),
-			slog.String("site", c.Name()),
-			slog.Int("servers", len(servers)))
-	}
 	return servers, err
 }
 
@@ -388,7 +377,7 @@ func (b *Broker) decide(sp *obs.ActiveSpan, site int, now period.Time, hold, cau
 	err := connAbort(c, as.Context(), now, hold)
 	as.Fail(err)
 	as.End()
-	b.dropCached(c.Name(), "2pc")
+	b.dropCached(c.Name())
 	if gate {
 		b.feed(site, err)
 	}

@@ -140,8 +140,7 @@ type siteView struct {
 type Site struct {
 	mu        sync.Mutex
 	name      string
-	siteState            // guarded by mu; written by apply alone (transition.go)
-	tracer    obs.Tracer // optional; see Instrument
+	siteState // guarded by mu; written by apply alone (transition.go)
 
 	// recorder is the site's flight recorder; see SetRecorder. Requests
 	// arriving with trace context (TracedConn, wire trace fields) record
@@ -479,7 +478,7 @@ func (s *Site) advanceLocked(now period.Time) {
 		return
 	}
 	for _, h := range s.advance(now) {
-		_ = s.applyLocked(Op{Kind: OpExpire, Now: now, HoldID: h.ID}, slog.Int64("expired", int64(h.Expires)))
+		_ = s.applyLocked(Op{Kind: OpExpire, Now: now, HoldID: h.ID})
 	}
 }
 
@@ -494,13 +493,12 @@ func (s *Site) admitLocked(now period.Time) error {
 	return s.walOKLocked()
 }
 
-// applyLocked is the tail of every live mutation: apply the decided Op, stage
-// it for the journal — stamped with the post-operation scheduler counters;
-// append failures surface in the flush stage — and emit its trace event (the
-// obs.Event* names of the four mutations are the op kinds' names). An op whose
-// release the calendar refused is staged too: the hold is gone either way, and
-// replay takes the same path.
-func (s *Site) applyLocked(op Op, attrs ...slog.Attr) error {
+// applyLocked is the tail of every live mutation: apply the decided Op and
+// stage it for the journal, stamped with the post-operation scheduler
+// counters; append failures surface in the flush stage. An op whose release
+// the calendar refused is staged too: the hold is gone either way, and replay
+// takes the same path.
+func (s *Site) applyLocked(op Op) error {
 	err := s.apply(op, false)
 	if s.wal != nil && (err == nil || errors.Is(err, errReleaseRefused)) {
 		op.SchedStats, op.SchedOps = s.sched.Stats(), s.sched.Ops()
@@ -508,12 +506,6 @@ func (s *Site) applyLocked(op Op, attrs ...slog.Attr) error {
 	}
 	if err != nil {
 		return fmt.Errorf("grid %s: %w", s.name, err)
-	}
-	if s.tracer != nil {
-		if op.Kind == OpPrepare { // built here: as arguments they would escape even untraced
-			attrs = append(attrs, slog.Int("servers", len(op.Alloc.Servers)), slog.Int64("start", int64(op.Alloc.Start)), slog.Int64("expires", int64(op.Expires)))
-		}
-		s.tracer.Event(op.Kind.String(), append(attrs, slog.String("hold", op.HoldID))...)
 	}
 	return nil
 }
@@ -613,15 +605,14 @@ func (s *Site) RangeSearchViewTraced(tc obs.SpanContext, now, start, end period.
 	}
 	sp := s.startSpan(tc, "site.range")
 	sp.Annotate(slog.Bool("clock_advance", true))
+	var r RangeResult // declared here, so the view path leaves nothing on the heap
 	_ = s.submitWriteTraced(sp, func() error {
 		s.advanceLocked(now)
-		feasible = s.sched.RangeSearch(start, end)
-		epoch = s.epochSalt + s.sched.MutationEpoch()
-		siteNow = s.sched.Now()
+		r = RangeResult{Feasible: s.sched.RangeSearch(start, end), Epoch: s.epochSalt + s.sched.MutationEpoch(), SiteNow: s.sched.Now()}
 		return nil
 	})
 	sp.End()
-	return feasible, epoch, siteNow
+	return r.Feasible, r.Epoch, r.SiteNow
 }
 
 // Epoch returns the site's current availability epoch, as of the last
@@ -778,7 +769,7 @@ func (s *Site) AbortTraced(tc obs.SpanContext, now period.Time, holdID string) e
 		if !pending && !decided {
 			return nil
 		}
-		return s.applyLocked(Op{Kind: OpAbort, Now: now, HoldID: holdID}, slog.Bool("compensating", decided))
+		return s.applyLocked(Op{Kind: OpAbort, Now: now, HoldID: holdID})
 	})
 	sp.Fail(err)
 	sp.End()

@@ -21,10 +21,8 @@ package grid
 
 import (
 	"errors"
-	"log/slog"
 	"time"
 
-	"coalloc/internal/obs"
 	"coalloc/internal/period"
 )
 
@@ -118,13 +116,13 @@ func (b *Broker) runWatch(c Conn, wc WatchConn) {
 				// been live (a failover landed on an old-binary standby),
 				// close it out with one conservative drop.
 				if !broken && last.Epoch != 0 {
-					b.watchGap(site, err)
+					b.cache.gap(site)
 				}
 				return
 			}
 			if !broken {
 				broken = true
-				b.watchGap(site, err)
+				b.cache.gap(site)
 			}
 			// Re-subscribe with bounded backoff, abandoning promptly on Close.
 			if backoff < 50*time.Millisecond {
@@ -147,23 +145,8 @@ func (b *Broker) runWatch(c Conn, wc WatchConn) {
 			continue // idle poll expiry: the stream is alive, nothing moved
 		}
 		last = ev
-		if dropped := b.cache.observeEvent(site, ev.Epoch, ev.Salt); dropped > 0 {
-			b.event(obs.EventCacheInvalidate,
-				slog.String("site", site),
-				slog.String("cause", "watch"),
-				slog.Int("entries", dropped))
-		}
+		b.cache.observeEvent(site, ev.Epoch, ev.Salt)
 	}
-}
-
-// watchGap records one stream gap: conservative site-wide drop, generation
-// bump, and the trace event operators grep for.
-func (b *Broker) watchGap(site string, cause error) {
-	b.cache.gap(site)
-	b.event(obs.EventCacheInvalidate,
-		slog.String("site", site),
-		slog.String("cause", "watch_gap"),
-		slog.String("err", cause.Error()))
 }
 
 // maxPrefetchWindows bounds one batched ladder probe; the server enforces

@@ -1,15 +1,15 @@
 // Package obs is the system's zero-dependency telemetry layer: atomic
 // counters and gauges, windowed latency histograms with quantile estimates,
 // a named registry that renders itself in expvar-style JSON or Prometheus
-// text exposition format, and a Tracer interface for structured per-request
-// event streams backed by log/slog.
+// text exposition format, and a flight recorder of per-request span trees.
 //
 // Everything here is stdlib-only and safe for concurrent use. The package
 // deliberately knows nothing about schedulers or brokers: the instrumented
-// packages (internal/calendar, internal/core, internal/grid, internal/wire)
+// packages (internal/grid, internal/wire, internal/wal, internal/replica)
 // define *what* to measure and obs defines *how* measurements are stored
-// and exposed. When no observer is configured the instrumented hot paths
-// reduce to a nil check, so telemetry costs nothing unless asked for.
+// and exposed. The paper's algorithm layers (internal/dtree,
+// internal/calendar, internal/core) do not import it: their cost is the
+// counted operations of calendar.OpsBreakdown and their outcomes core.Stats.
 package obs
 
 import (

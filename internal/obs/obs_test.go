@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"log/slog"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -170,34 +169,6 @@ func TestMetricsHandler(t *testing.T) {
 	}
 	if obj["hits"] != float64(1) {
 		t.Errorf("json endpoint hits = %v", obj["hits"])
-	}
-}
-
-func TestSlogTracer(t *testing.T) {
-	var buf bytes.Buffer
-	logger := slog.New(slog.NewJSONHandler(&buf, nil))
-	tr := NewSlogTracer(logger)
-	tr.Event(EventAccept, slog.Int64("job", 42), slog.Int("attempts", 3))
-
-	var rec map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
-		t.Fatalf("tracer output not JSON: %v\n%s", err, buf.String())
-	}
-	if rec["event"] != EventAccept || rec["job"] != float64(42) {
-		t.Errorf("tracer record = %v", rec)
-	}
-}
-
-func TestMemTracer(t *testing.T) {
-	var tr MemTracer
-	tr.Event(EventSubmit, slog.Int64("job", 1))
-	tr.Event(EventAccept)
-	if names := tr.Names(); len(names) != 2 || names[0] != EventSubmit || names[1] != EventAccept {
-		t.Fatalf("names = %v", names)
-	}
-	tr.Reset()
-	if len(tr.Events()) != 0 {
-		t.Fatal("reset did not clear events")
 	}
 }
 

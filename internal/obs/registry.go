@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 )
 
 // metricKind discriminates registry entries.
@@ -114,18 +113,6 @@ func (r *Registry) Help(name, help string) {
 	if e, ok := r.entries[name]; ok {
 		e.help = help
 	}
-}
-
-// Names returns every registered metric name in sorted order.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.entries))
-	for n := range r.entries {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // snapshotEntry is a rendered view of one metric, decoupled from live state.
@@ -303,10 +290,4 @@ func (r *Registry) MetricsHandler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WritePrometheus(w)
 	})
-}
-
-// ObserveSince is a convenience for instrumented call sites:
-// `defer reg.ObserveSince("wire.client.probe.latency", time.Now())`.
-func (r *Registry) ObserveSince(name string, t0 time.Time) {
-	r.Histogram(name).Since(t0)
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -392,88 +391,3 @@ func TestRegistryJSONRendersExemplars(t *testing.T) {
 		t.Fatalf("p99_trace = %v, want %s (json: %s)", m["p99_trace"], want, b.String())
 	}
 }
-
-func TestMemTracerBounded(t *testing.T) {
-	tr := NewMemTracer(8)
-	for i := 0; i < 20; i++ {
-		tr.Event(fmt.Sprintf("e%d", i))
-	}
-	names := tr.Names()
-	if len(names) != 8 {
-		t.Fatalf("retained %d events, want 8", len(names))
-	}
-	// Oldest first, newest retained: e12..e19.
-	if names[0] != "e12" || names[7] != "e19" {
-		t.Fatalf("ring order wrong: %v", names)
-	}
-	if tr.Dropped() != 12 {
-		t.Fatalf("dropped = %d, want 12", tr.Dropped())
-	}
-	if got := len(tr.Events()); got != 8 {
-		t.Fatalf("Events len = %d", got)
-	}
-}
-
-func TestMemTracerZeroValueUsesDefaultLimit(t *testing.T) {
-	var tr MemTracer
-	for i := 0; i < DefaultMemTracerLimit+10; i++ {
-		tr.Event("e")
-	}
-	if got := len(tr.Names()); got != DefaultMemTracerLimit {
-		t.Fatalf("zero-value tracer retained %d, want %d", got, DefaultMemTracerLimit)
-	}
-	if tr.Dropped() != 10 {
-		t.Fatalf("dropped = %d", tr.Dropped())
-	}
-}
-
-func TestMemTracerSetLimitShrinksKeepingNewest(t *testing.T) {
-	tr := NewMemTracer(10)
-	for i := 0; i < 10; i++ {
-		tr.Event(fmt.Sprintf("e%d", i))
-	}
-	tr.SetLimit(3)
-	names := tr.Names()
-	if len(names) != 3 || names[0] != "e7" || names[2] != "e9" {
-		t.Fatalf("after shrink: %v", names)
-	}
-	tr.Event("e10")
-	names = tr.Names()
-	if len(names) != 3 || names[2] != "e10" {
-		t.Fatalf("post-shrink ring broken: %v", names)
-	}
-}
-
-// TestSlogTracerDisabledLevelIsCheap pins the satellite guarantee: a
-// tracer at a disabled level must bail before building the record.
-func TestSlogTracerDisabledLevelIsCheap(t *testing.T) {
-	sink := &countingHandler{}
-	tr := &SlogTracer{L: slog.New(sink), Level: slog.LevelDebug}
-	// Handler accepts only >= Info: Debug events must not reach Handle.
-	tr.Event("x", slog.Int("k", 1))
-	if sink.handled != 0 {
-		t.Fatalf("disabled-level event was built and handled %d times", sink.handled)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		tr.Event("hot", slog.Int("k", 1))
-	})
-	// The enabled check must run before any record/attr-slice allocation.
-	// (The variadic attrs arg itself does not escape when we return early.)
-	if allocs > 0 {
-		t.Fatalf("disabled-level Event allocates %.0f per call, want 0", allocs)
-	}
-	tr.Level = slog.LevelWarn
-	tr.Event("y")
-	if sink.handled != 1 {
-		t.Fatalf("enabled-level event not delivered: %d", sink.handled)
-	}
-}
-
-type countingHandler struct{ handled int }
-
-func (h *countingHandler) Enabled(_ context.Context, level slog.Level) bool {
-	return level >= slog.LevelInfo
-}
-func (h *countingHandler) Handle(context.Context, slog.Record) error { h.handled++; return nil }
-func (h *countingHandler) WithAttrs([]slog.Attr) slog.Handler        { return h }
-func (h *countingHandler) WithGroup(string) slog.Handler             { return h }
